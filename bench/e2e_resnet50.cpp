@@ -1,20 +1,18 @@
-// End-to-end graph-compiler bench: whole-net GraphPlan (fused epilogues +
-// joint blocking) vs the per-layer unfused path on a shrunk ResNet-50
+// End-to-end graph-compiler bench: whole-net GraphPlan (fused epilogues,
+// per-layer blocking) vs the per-layer unfused path on a shrunk ResNet-50
 // bottleneck stack and a DenseNet-style block graph, bits 2-8.
 //
-// Three things are checked per (graph, bits) row:
+// Two things are checked:
 //
-//   * bit-exactness — the fused forward (FusionMode::kOn) must produce the
-//     IDENTICAL dequantized output as the unfused per-layer path
-//     (FusionMode::kOff): both run the same fixed-point requant arithmetic
-//     in the same order, so any difference is a fusion bug, not noise. The
-//     bench exits nonzero on the first mismatch.
-//   * joint-vs-greedy margin — the whole-net joint {Mc, Kc, Nc} search must
-//     never be worse than the per-layer-greedy seed under the chained
-//     cache-replay objective, and the aggregate margin is reported.
-//   * cycle regression gate — the summed joint modeled cycles are compared
-//     against the committed bench/baselines/BENCH_e2e.json; the run fails
-//     past 1.05x. Refresh after a deliberate change with:
+//   * bit-exactness — per (graph, bits) row, the fused forward
+//     (FusionMode::kOn) must produce the IDENTICAL dequantized output as the
+//     unfused per-layer path (FusionMode::kOff): both run the same
+//     fixed-point requant arithmetic in the same order, so any difference
+//     is a fusion bug, not noise. The bench exits nonzero on a mismatch.
+//   * executed-time gate — the summed modeled seconds of the fused forwards
+//     that actually ran must not exceed the committed
+//     bench/baselines/BENCH_e2e.json total (1e-9 relative slack: the model
+//     is deterministic). Refresh after a deliberate change with:
 //       LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json build/bench/e2e_resnet50
 #include <cmath>
 #include <cstdio>
@@ -39,15 +37,13 @@ struct E2eRecord {
   double unfused_s = 0;  ///< modeled seconds, per-layer path (kOff)
   int fused_convs = 0;
   int fused_adds = 0;
-  double joint_cycles = 0;   ///< whole-net chained-replay objective (joint)
-  double greedy_cycles = 0;  ///< same objective, per-layer-greedy blocking
   bool bitexact = false;
 };
 
 /// Shrunk ResNet-50: three bottleneck stages (reduce -> 3x3 -> expand with
 /// projection shortcuts, one strided) over a 14x14 input, global-avgpool
-/// head. Same topology as the paper's network at sizes the joint search
-/// sweeps quickly.
+/// head. Same topology as the paper's network at sizes the emulator runs
+/// quickly.
 core::QnnGraph build_resnet_stack(int bits) {
   core::QnnGraph g;
   auto n = g.add_input(16, 14);
@@ -77,8 +73,7 @@ core::QnnGraph build_densenet_block(int bits) {
 
 bool write_e2e_json(const std::string& path,
                     const std::vector<E2eRecord>& records,
-                    double joint_total, double greedy_total,
-                    double margin_pct) {
+                    double fused_total) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
@@ -86,11 +81,11 @@ bool write_e2e_json(const std::string& path,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"e2e_resnet50\",\n"
-               "  \"unit\": \"modeled-cycles\",\n"
-               "  \"note\": \"Whole-net GraphPlan: fused epilogues + joint "
-               "blocking vs the unfused per-layer path, bits 2-8. Gate: "
-               "e2e_joint_cycles <= 1.05x baseline. Refresh: "
-               "LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json "
+               "  \"unit\": \"modeled-seconds\",\n"
+               "  \"note\": \"Whole-net GraphPlan: fused epilogues vs the "
+               "unfused per-layer path, bits 2-8. Gate: summed executed "
+               "fused_seconds <= e2e_fused_seconds (1e-9 relative slack). "
+               "Refresh: LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json "
                "build/bench/e2e_resnet50\",\n  \"records\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const E2eRecord& r = records[i];
@@ -98,46 +93,42 @@ bool write_e2e_json(const std::string& path,
                  "    {\"graph\": \"%s\", \"bits\": %d, "
                  "\"fused_seconds\": %.9f, \"unfused_seconds\": %.9f, "
                  "\"fused_convs\": %d, \"fused_adds\": %d, "
-                 "\"joint_cycles\": %.1f, \"greedy_cycles\": %.1f, "
                  "\"bitexact\": %s}%s\n",
                  r.graph.c_str(), r.bits, r.fused_s, r.unfused_s,
-                 r.fused_convs, r.fused_adds, r.joint_cycles,
-                 r.greedy_cycles, r.bitexact ? "true" : "false",
+                 r.fused_convs, r.fused_adds, r.bitexact ? "true" : "false",
                  i + 1 < records.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"totals\": {\"e2e_joint_cycles\": %.1f, "
-               "\"e2e_greedy_cycles\": %.1f, \"joint_margin_pct\": %.4f}\n}\n",
-               joint_total, greedy_total, margin_pct);
+  // Full precision: the gate compares against this total at 1e-9.
+  std::fprintf(f, "  ],\n  \"totals\": {\"e2e_fused_seconds\": %.17g}\n}\n",
+               fused_total);
   std::fclose(f);
   std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
                records.size());
   return true;
 }
 
-int run_e2e_gate(double joint_total) {
+int run_e2e_gate(double fused_total) {
   const char* baseline_path = std::getenv("LBC_BENCH_BASELINE");
   if (baseline_path == nullptr || baseline_path[0] == '\0') return 0;
   const double baseline =
-      bench::read_json_number_field(baseline_path, "e2e_joint_cycles");
+      bench::read_json_number_field(baseline_path, "e2e_fused_seconds");
   if (baseline <= 0) {
-    std::fprintf(stderr, "e2e gate: no e2e_joint_cycles in %s\n",
+    std::fprintf(stderr, "e2e gate: no e2e_fused_seconds in %s\n",
                  baseline_path);
     return 1;
   }
-  const double limit = baseline * 1.05;
-  const double ratio = joint_total / baseline;
-  if (joint_total > limit) {
+  const double ratio = fused_total / baseline;
+  if (fused_total > baseline * (1 + 1e-9)) {
     std::fprintf(stderr,
-                 "e2e gate FAIL: %.0f joint modeled cycles vs baseline %.0f "
-                 "(%.3fx > 1.05x allowed)\n",
-                 joint_total, baseline, ratio);
+                 "e2e gate FAIL: %.9f executed fused modeled seconds vs "
+                 "baseline %.9f (%.6fx > 1.0x allowed)\n",
+                 fused_total, baseline, ratio);
     return 1;
   }
   std::fprintf(stderr,
-               "e2e gate PASS: %.0f joint modeled cycles vs baseline %.0f "
-               "(%.3fx <= 1.05x)\n",
-               joint_total, baseline, ratio);
+               "e2e gate PASS: %.9f executed fused modeled seconds vs "
+               "baseline %.9f (%.6fx <= 1.0x)\n",
+               fused_total, baseline, ratio);
   return 0;
 }
 
@@ -145,8 +136,8 @@ int run_e2e_gate(double joint_total) {
 
 int main() {
   core::print_environment_banner();
-  std::printf("== whole-net GraphPlan: fused + joint blocking vs per-layer "
-              "unfused, bits 2-8 ==\n\n");
+  std::printf("== whole-net GraphPlan: fused vs per-layer unfused, bits "
+              "2-8 ==\n\n");
 
   struct GraphCase {
     const char* name;
@@ -158,11 +149,10 @@ int main() {
       {"densenet-block", build_densenet_block, Shape4{1, 24, 12, 12}},
   };
 
-  std::printf("%-15s %4s %11s %11s %8s %6s %5s %13s %13s %9s\n", "graph",
-              "bits", "fused ms", "unfused ms", "speedup", "fconv", "fadd",
-              "joint Mcyc", "greedy Mcyc", "margin%");
+  std::printf("%-15s %4s %11s %11s %8s %6s %5s\n", "graph", "bits",
+              "fused ms", "unfused ms", "speedup", "fconv", "fadd");
   std::vector<E2eRecord> records;
-  double joint_total = 0, greedy_total = 0;
+  double fused_total = 0;
   int rc = 0;
   for (const GraphCase& gc : cases) {
     for (int bits = 2; bits <= 8; ++bits) {
@@ -180,7 +170,6 @@ int main() {
       fused_opt.algo = armkern::ConvAlgo::kGemm;
       core::GraphPlanOptions unfused_opt;
       unfused_opt.fusion = core::FusionMode::kOff;
-      unfused_opt.joint_search = false;
       unfused_opt.algo = armkern::ConvAlgo::kGemm;
 
       const core::GraphPlan fused =
@@ -198,8 +187,6 @@ int main() {
       rec.unfused_s = ru.seconds;
       rec.fused_convs = fused.fused_convs();
       rec.fused_adds = fused.fused_adds();
-      rec.joint_cycles = fused.joint_cycles();
-      rec.greedy_cycles = fused.greedy_cycles();
       rec.bitexact =
           rf.out.elems() == ru.out.elems() &&
           std::memcmp(rf.out.data(), ru.out.data(),
@@ -212,43 +199,22 @@ int main() {
                      gc.name, bits);
         rc = 1;
       }
-      if (rec.joint_cycles > rec.greedy_cycles * (1 + 1e-9)) {
-        std::fprintf(stderr,
-                     "JOINT SEARCH FAIL: %s at %d bits — joint %.0f cycles "
-                     "worse than greedy %.0f\n",
-                     gc.name, bits, rec.joint_cycles, rec.greedy_cycles);
-        rc = 1;
-      }
-      joint_total += rec.joint_cycles;
-      greedy_total += rec.greedy_cycles;
+      fused_total += rec.fused_s;
 
-      const double margin =
-          rec.greedy_cycles > 0
-              ? (rec.greedy_cycles - rec.joint_cycles) / rec.greedy_cycles *
-                    100.0
-              : 0.0;
-      std::printf("%-15s %4d %11.4f %11.4f %7.3fx %6d %5d %13.3f %13.3f "
-                  "%8.3f%%\n",
-                  gc.name, bits, rec.fused_s * 1e3, rec.unfused_s * 1e3,
+      std::printf("%-15s %4d %11.4f %11.4f %7.3fx %6d %5d\n", gc.name, bits,
+                  rec.fused_s * 1e3, rec.unfused_s * 1e3,
                   rec.fused_s > 0 ? rec.unfused_s / rec.fused_s : 0.0,
-                  rec.fused_convs, rec.fused_adds, rec.joint_cycles / 1e6,
-                  rec.greedy_cycles / 1e6, margin);
+                  rec.fused_convs, rec.fused_adds);
       records.push_back(std::move(rec));
     }
   }
 
-  const double margin_pct =
-      greedy_total > 0 ? (greedy_total - joint_total) / greedy_total * 100.0
-                       : 0.0;
-  std::printf("\ne2e_joint_cycles: %.0f   greedy: %.0f   joint margin: "
-              "%.3f%%\n",
-              joint_total, greedy_total, margin_pct);
+  std::printf("\ne2e_fused_seconds: %.9f\n", fused_total);
 
   const char* json_path = std::getenv("LBC_BENCH_JSON");
   if (json_path != nullptr && json_path[0] != '\0' &&
-      !write_e2e_json(json_path, records, joint_total, greedy_total,
-                      margin_pct))
+      !write_e2e_json(json_path, records, fused_total))
     return 1;
-  const int gate_rc = run_e2e_gate(joint_total);
+  const int gate_rc = run_e2e_gate(fused_total);
   return rc != 0 ? rc : gate_rc;
 }

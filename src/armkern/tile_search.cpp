@@ -118,27 +118,12 @@ constexpr u64 kBaseIn = u64{4} << 40;
 // whether a schedule's table/panel set survives between row panels, and
 // omitting it made the replay optimistic exactly where reality thrashes.
 constexpr u64 kBaseTile = u64{5} << 40;
-// Per-layer spacing inside a region for the chained graph replay: layers
-// get disjoint weight/activation sub-regions 16 GiB apart.
-constexpr u64 kLayerStride = u64{1} << 34;
-
-// Synthetic buffer bases one schedule replay runs against. The chained
-// graph replay points layer i's `in` at layer i-1's `out` (the fused
-// epilogue's i8 activations) and shares `b`/`c` across layers (the pack
-// block and C scratch are recycled buffers).
-struct ReplayBases {
-  u64 a = kBaseA;
-  u64 b = kBaseB;
-  u64 c = kBaseC;
-  u64 in = kBaseIn;
-  u64 out = 0;  ///< fused-epilogue i8 output; 0 = not modeled
-};
 
 // Touch the input spans the fused gather of block (k0..k0+kc) x
 // (n0..n0+nc) reads — same span logic as pack.cpp's touch_conv_gather,
 // against the synthetic input base.
-void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
-                   i64 n0, i64 nc) {
+void replay_gather(Replay& r, const ConvShape& s, i64 k0, i64 kc, i64 n0,
+                   i64 nc) {
   const i64 ohw = s.out_h() * s.out_w();
   for (i64 kk = 0; kk < kc; ++kk) {
     const i64 kg = k0 + kk;
@@ -159,7 +144,7 @@ void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
         const i64 iw_hi =
             std::min<i64>(ow1 * s.stride + kw - s.pad, s.in_w - 1);
         if (iw_lo <= iw_hi)
-          r.touch(base_in + static_cast<u64>(
+          r.touch(kBaseIn + static_cast<u64>(
                                 ((b * s.in_c + ic) * s.in_h + ih) * s.in_w +
                                 iw_lo),
                   static_cast<u64>(iw_hi - iw_lo + 1));
@@ -171,11 +156,9 @@ void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
 
 // Simulate the first one or two jc column blocks and extrapolate: block 0
 // carries the cold misses, block 1 is the steady state repeated for every
-// remaining band. `r` may carry state from earlier layers (the chained
-// graph replay); the per-block deltas are measured against it.
-ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
-                                const BlockedLayout& lay,
-                                const ReplayBases& bases) {
+// remaining band.
+ReplayMisses replay_schedule(const ConvShape& s, const BlockedLayout& lay) {
+  Replay r;
   const bool tbl_wt =
       lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
   const i64 k_groups_total =
@@ -197,17 +180,17 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
     for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
       const i64 k0 = kcb * lay.blk.kc;
       const i64 kstride = lay.k_stride(kcb);
-      replay_gather(r, s, bases.in, k0, lay.kc_eff(kcb), n0, nc);
+      replay_gather(r, s, k0, lay.kc_eff(kcb), n0, nc);
       if (tbl_wt) {
         const i64 groups_c = lay.tbl_groups(kcb);
         const i64 nc_pad16 = round_up(nc, i64{16});
-        r.touch(bases.b, static_cast<u64>(nc_pad16 * kstride));
+        r.touch(kBaseB, static_cast<u64>(nc_pad16 * kstride));
         for (i64 p = 0; p < ceil_div(lay.m, i64{4}); ++p) {
           const u64 a_slice =
-              bases.a + static_cast<u64>(p * a_panel_stride +
+              kBaseA + static_cast<u64>(p * a_panel_stride +
                                          (k0 / lay.tbl_group) * 64);
           for (i64 q = 0; q < nc_pad16 / 16; ++q) {
-            const u64 idx_panel = bases.b + static_cast<u64>(q * kstride * 16);
+            const u64 idx_panel = kBaseB + static_cast<u64>(q * kstride * 16);
             // Per group step: one 64-byte table line, one 16-byte index
             // vector (a line per four steps).
             for (i64 gs = 0; gs < groups_c; ++gs) {
@@ -223,27 +206,23 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
             const i64 rows = std::min<i64>(4, lay.m - row0);
             const i64 cols = std::min<i64>(16, lay.n - col0);
             for (i64 ii = 0; ii < rows; ++ii) {
-              r.touch(bases.c +
+              r.touch(kBaseC +
                           static_cast<u64>(((row0 + ii) * lay.n + col0) * 4),
                       static_cast<u64>(cols) * 4);
-              if (kcb == lay.k_blocks - 1 && bases.out != 0)
-                r.touch(
-                    bases.out + static_cast<u64>((row0 + ii) * lay.n + col0),
-                    static_cast<u64>(cols));
             }
           }
         }
         continue;
       }
-      r.touch(bases.b, static_cast<u64>(nc_pad * kstride));
+      r.touch(kBaseB, static_cast<u64>(nc_pad * kstride));
       for (i64 p = 0; p < lay.m_panels(); ++p) {
         const u64 a_slice =
-            bases.a +
+            kBaseA +
             static_cast<u64>(p * a_panel_stride +
                              (lay.tbl() ? (k0 / lay.tbl_group) * 16
                                         : k0 * kMr));
         for (i64 q = 0; q < nc_pad / kNr; ++q) {
-          const u64 b_panel = bases.b + static_cast<u64>(q * kstride * kNr);
+          const u64 b_panel = kBaseB + static_cast<u64>(q * kstride * kNr);
           if (lay.tbl()) {
             // kActTables: one 64-byte table line per group step, one
             // 16-byte weight-index vector (a line per four steps).
@@ -271,16 +250,9 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
           const i64 col0 = n0 + q * kNr;
           const i64 rows = std::min<i64>(kMr, lay.m - row0);
           const i64 cols = std::min<i64>(kNr, lay.n - col0);
-          for (i64 ii = 0; ii < rows; ++ii) {
-            r.touch(bases.c + static_cast<u64>(((row0 + ii) * lay.n + col0) * 4),
+          for (i64 ii = 0; ii < rows; ++ii)
+            r.touch(kBaseC + static_cast<u64>(((row0 + ii) * lay.n + col0) * 4),
                     static_cast<u64>(cols) * 4);
-            // Fused epilogue: the final-Kc writeback also stores the
-            // requantized i8 row segment — those lines are what the next
-            // layer's gather finds warm.
-            if (kcb == lay.k_blocks - 1 && bases.out != 0)
-              r.touch(bases.out + static_cast<u64>((row0 + ii) * lay.n + col0),
-                      static_cast<u64>(cols));
-          }
         }
       }
     }
@@ -298,11 +270,6 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
         l2_per_block[0] + l2_per_block[1] * static_cast<u64>(lay.n_blocks - 1);
   }
   return misses;
-}
-
-ReplayMisses replay_schedule(const ConvShape& s, const BlockedLayout& lay) {
-  Replay r;
-  return replay_schedule_at(r, s, lay, ReplayBases{});
 }
 
 ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay) {
@@ -323,11 +290,9 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay) {
 // Issue-side cost of one layer's blocked schedule: micro-kernel probes
 // scaled by call counts, the fused-gather pack tallies, and the C
 // accumulate re-loads. Misses are NOT included — the caller adds them from
-// a (cold or chained) replay. `fused_epilogue` additionally charges the
-// blocked driver's in-cache requantize hook (2 scalar ops per element +
-// one narrow store per final row segment).
+// the cold replay.
 Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
-                      const BlockedLayout& lay, bool fused_epilogue) {
+                      const BlockedLayout& lay) {
   const bool sdot = kernel == ArmKernel::kSdotExt;
   const bool tbl_wt =
       lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
@@ -392,12 +357,6 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
     counts[Op::kLd1] += acc;
     counts[Op::kAdd] += acc;
   }
-  if (fused_epilogue) {
-    // Mirrors gemm_blocked.cpp's epilogue tallies: 2 scalar fixed-point
-    // ops per output element, one i8 store per final row segment.
-    counts[Op::kScalar] += static_cast<u64>(m * lay.n) * 2;
-    counts[Op::kSt1] += static_cast<u64>(m * q_total);
-  }
   counts.merge(tally_ctx.counts);
   return counts;
 }
@@ -408,43 +367,11 @@ double score_locked(const ConvShape& s, int bits, ArmKernel kernel,
   const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
   const BlockedLayout lay = layout_for(m, n, k, blocking, kernel, bits);
 
-  Counters counts =
-      issue_counts(s, bits, kernel, lay, /*fused_epilogue=*/false);
+  Counters counts = issue_counts(s, bits, kernel, lay);
   const ReplayMisses misses = replay_memoized(s, lay);
   counts[Op::kL1Miss] += misses.l1;
   counts[Op::kL2Miss] += misses.l2;
   return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
-}
-
-// Chained whole-net objective: one shared cache sim walked through the
-// layer sequence. Layer i reads its gather from the region layer i-1's
-// epilogue wrote, and the pack-block / C scratch bases are shared across
-// layers (recycled buffers). No memoization — the misses depend on the
-// whole assignment.
-double score_graph(const std::vector<GraphSearchLayer>& layers,
-                   const std::vector<GemmBlocking>& blocking) {
-  LBC_CHECK_MSG(layers.size() == blocking.size(),
-                "score_graph: one blocking per layer required");
-  Replay r;
-  double total = 0;
-  const CostModel cm = CostModel::cortex_a53();
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const GraphSearchLayer& gl = layers[i];
-    const BlockedLayout lay =
-        layout_for(gl.shape.gemm_m(), gl.shape.gemm_n(), gl.shape.gemm_k(),
-                   blocking[i], gl.kernel, gl.bits);
-    ReplayBases bases;
-    bases.a = kBaseA + static_cast<u64>(i) * kLayerStride;
-    bases.in = kBaseIn + static_cast<u64>(i) * kLayerStride;
-    bases.out = kBaseIn + static_cast<u64>(i + 1) * kLayerStride;
-    Counters counts =
-        issue_counts(gl.shape, gl.bits, gl.kernel, lay, /*fused_epilogue=*/true);
-    const ReplayMisses misses = replay_schedule_at(r, gl.shape, lay, bases);
-    counts[Op::kL1Miss] += misses.l1;
-    counts[Op::kL2Miss] += misses.l2;
-    total += cm.cycles_for(counts, /*interleaved=*/true);
-  }
-  return total;
 }
 
 }  // namespace
@@ -557,92 +484,6 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
 TileSearchStats tile_search_stats() {
   std::lock_guard<std::mutex> lock(g_mu);
   return g_stats;
-}
-
-double score_graph_blocking(const std::vector<GraphSearchLayer>& layers,
-                            const std::vector<GemmBlocking>& blocking) {
-  return score_graph(layers, blocking);
-}
-
-u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
-  u64 h = 1469598103934665603ull;  // FNV-1a
-  const auto mix = [&h](i64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<u64>(v >> (i * 8)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<i64>(layers.size()));
-  for (const GraphSearchLayer& gl : layers) {
-    const ConvShape& s = gl.shape;
-    for (const i64 v : {s.batch, s.in_c, s.in_h, s.in_w, s.out_c,
-                        static_cast<i64>(s.kernel), static_cast<i64>(s.stride),
-                        static_cast<i64>(s.pad)})
-      mix(v);
-    mix(gl.bits);
-    mix(blocking_scheme_id(gl.kernel, gl.bits));
-  }
-  return h;
-}
-
-GraphSearchResult search_graph_blocking(
-    const std::vector<GraphSearchLayer>& layers) {
-  GraphSearchResult res;
-  if (layers.empty()) return res;
-
-  // Seed from the memoized per-layer greedy winners, and build each
-  // layer's small candidate set around them.
-  std::vector<GemmBlocking> current;
-  std::vector<std::vector<GemmBlocking>> cands(layers.size());
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const GraphSearchLayer& gl = layers[i];
-    const bool sdot = gl.kernel == ArmKernel::kSdotExt;
-    const i64 m = gl.shape.gemm_m(), n = gl.shape.gemm_n(),
-              k = gl.shape.gemm_k();
-    const int tblg =
-        gl.kernel == ArmKernel::kTblGemm
-            ? tbl_group_for(choose_tbl_orientation(m, n, k, gl.bits, false),
-                            gl.bits, false)
-            : 0;
-    const GemmBlocking greedy = search_blocking(gl.shape, gl.bits, gl.kernel);
-    current.push_back(greedy);
-    std::vector<GemmBlocking>& cc = cands[i];
-    cc.push_back(greedy);
-    for (const GemmBlocking& raw :
-         {default_blocking(m, n, k, sdot), GemmBlocking{128, 256, 32},
-          GemmBlocking{128, 128, 64}, GemmBlocking{64, 128, 32},
-          GemmBlocking{64, 256, 128}}) {
-      const GemmBlocking cand = clamp_blocking(raw, m, n, k, sdot, tblg);
-      if (std::find(cc.begin(), cc.end(), cand) == cc.end())
-        cc.push_back(cand);
-    }
-  }
-
-  res.greedy_cycles = score_graph(layers, current);
-  double best = res.greedy_cycles;
-  // Coordinate descent under the chained objective: two passes over the
-  // layers, each trying the layer's candidates with the rest held fixed.
-  // Monotone by construction, so the joint plan never loses to the seed.
-  for (int pass = 0; pass < 2; ++pass) {
-    bool improved = false;
-    for (size_t i = 0; i < layers.size(); ++i) {
-      for (const GemmBlocking& cand : cands[i]) {
-        if (cand == current[i]) continue;
-        std::vector<GemmBlocking> trial = current;
-        trial[i] = cand;
-        const double sc = score_graph(layers, trial);
-        if (sc < best) {
-          best = sc;
-          current = std::move(trial);
-          improved = true;
-        }
-      }
-    }
-    if (!improved) break;
-  }
-  res.blocking = std::move(current);
-  res.joint_cycles = best;
-  return res;
 }
 
 }  // namespace lbc::armkern

@@ -40,7 +40,8 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel);
 
 /// Stable scheme id of the micro kernel that would execute (0 = SMLAL,
 /// 1 = MLA, 2 = ncnn, 3 = SDOT, 4 = TBL) — the persistent tuning cache
-/// keys ARM entries by it (gpukern::ArmTuningKey::scheme).
+/// keys ARM entries by it (gpukern::ArmTuningKey::scheme, bounded by
+/// gpukern::kArmSchemeIdMax).
 int blocking_scheme_id(ArmKernel kernel, int bits);
 
 /// TBL orientation pricing (schemes.h TblOrientation), decided from
@@ -56,51 +57,5 @@ struct TileSearchStats {
   i64 memo_hits = 0;  ///< served from the in-process memo
 };
 TileSearchStats tile_search_stats();
-
-// ---- graph-level joint search -----------------------------------------
-//
-// The per-layer search above prices each conv against a COLD cache: its
-// replay starts from an empty CacheSim, so the winner is blind to what the
-// previous layer left behind. In a fused graph the layers chain — layer
-// i's epilogue writes the i8 activations that layer i+1's im2col gather
-// reads, and the C / pack-block scratch buffers are recycled across every
-// layer — so the right objective is the whole net: one shared cache-sim
-// replay walked through the layer sequence, per-layer issue cycles summed
-// on top. search_graph_blocking seeds from the memoized per-layer winners
-// and runs a small coordinate-descent over per-layer candidates under that
-// chained objective; the result never scores worse than the greedy seed.
-
-/// One conv layer of the chain, in execution order.
-struct GraphSearchLayer {
-  ConvShape shape;
-  int bits = 8;
-  ArmKernel kernel = ArmKernel::kOursGemm;
-};
-
-struct GraphSearchResult {
-  std::vector<GemmBlocking> blocking;  ///< per layer, same order as input
-  /// Whole-net modeled cycles of the returned joint plan under the chained
-  /// replay (issue + pack + misses, per-layer cost-model totals summed).
-  double joint_cycles = 0;
-  /// The per-layer greedy winners priced under the SAME chained objective —
-  /// the margin (greedy - joint) is what graph-level planning buys.
-  double greedy_cycles = 0;
-};
-
-/// Price a full per-layer blocking assignment under the chained whole-net
-/// objective (exposed for tests and the e2e bench). `blocking` must have
-/// one entry per layer.
-double score_graph_blocking(const std::vector<GraphSearchLayer>& layers,
-                            const std::vector<GemmBlocking>& blocking);
-
-/// Joint whole-net search. Deterministic; thread-safe. Degenerate inputs
-/// (empty layer list) return an empty result.
-GraphSearchResult search_graph_blocking(
-    const std::vector<GraphSearchLayer>& layers);
-
-/// Stable FNV-1a hash over the chain's (geometry, bits, scheme) sequence —
-/// the TuningCache v4 `graph` rows and the serve-side graph-plan registry
-/// key joint results by it.
-u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers);
 
 }  // namespace lbc::armkern

@@ -59,19 +59,9 @@ armkern::ArmConvOptions arm_conv_options(int bits, ArmImpl impl,
 StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
                                  int bits, ArmImpl impl,
                                  armkern::ConvAlgo algo, int threads,
-                                 bool verify, gpukern::TuningCache* tuning,
-                                 const armkern::GemmBlocking* blocking) {
+                                 bool verify, gpukern::TuningCache* tuning) {
   armkern::ArmConvOptions opt =
       arm_conv_options(bits, impl, algo, threads, verify);
-  if (blocking != nullptr &&
-      opt.blocking == armkern::BlockingPolicy::kAuto &&
-      opt.algo != armkern::ConvAlgo::kBitserial &&
-      opt.kernel != armkern::ArmKernel::kTraditional) {
-    // Caller-pinned blocking (the whole-net joint search's winner for this
-    // layer) replaces the per-layer auto search.
-    opt.blocking = armkern::BlockingPolicy::kExplicit;
-    opt.explicit_blocking = *blocking;
-  }
   if (tuning != nullptr && opt.blocking == armkern::BlockingPolicy::kAuto &&
       opt.algo == armkern::ConvAlgo::kGemm &&
       opt.kernel != armkern::ArmKernel::kTraditional) {

@@ -77,8 +77,7 @@ class ConvPlan {
  private:
   friend StatusOr<ConvPlan> plan_arm_conv(const ConvShape&, const Tensor<i8>&,
                                           int, ArmImpl, armkern::ConvAlgo,
-                                          int, bool, gpukern::TuningCache*,
-                                          const armkern::GemmBlocking*);
+                                          int, bool, gpukern::TuningCache*);
   friend StatusOr<ConvPlan> plan_native_conv(const ConvShape&,
                                              const Tensor<i8>&, int, int,
                                              gpukern::TuningCache*);
@@ -105,18 +104,12 @@ class ConvPlan {
 /// Errors: kInvalidArgument (bad shape/bits/dims/threads) or
 /// kResourceExhausted (plan compilation failed — the plan.compile_fail
 /// fault site; callers fall back to the unplanned one-shot path).
-/// A non-null `blocking` pins the blocked-GEMM {Mc, Kc, Nc} instead of the
-/// per-layer auto search (clamped to the shape) — how the whole-net joint
-/// search (armkern::search_graph_blocking) drives per-layer plans. Ignored
-/// by non-GEMM rungs and kTraditional; takes precedence over `tuning`.
 StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
                                  int bits, ArmImpl impl = ArmImpl::kOurs,
                                  armkern::ConvAlgo algo =
                                      armkern::ConvAlgo::kGemm,
                                  int threads = 1, bool verify = false,
-                                 gpukern::TuningCache* tuning = nullptr,
-                                 const armkern::GemmBlocking* blocking =
-                                     nullptr);
+                                 gpukern::TuningCache* tuning = nullptr);
 
 /// Compile a native-host plan (hal/): registry-selected backend (AVX2 or
 /// scalar), weights prepacked in the scheme's layout, {rb, cb} blocking

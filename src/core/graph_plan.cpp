@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "armkern/tile_search.h"
 #include "armsim/cost_model.h"
 #include "check/plan_audit.h"
 #include "common/status.h"
@@ -36,9 +37,27 @@ bool fuse_eligible(const armkern::ArmConvPlan& p) {
          p.kernel != armkern::ArmKernel::kTraditional && p.shape.batch == 1;
 }
 
-bool same_blocking(const armkern::GemmBlocking& a,
-                   const armkern::GemmBlocking& b) {
-  return a.mc == b.mc && a.kc == b.kc && a.nc == b.nc;
+// FNV-1a over the fused chain's (geometry, bits, scheme) sequence: equal
+// for graphs that compile to the same program up to weight values.
+u64 chain_hash(const std::vector<const armkern::ArmConvPlan*>& chain) {
+  u64 h = 1469598103934665603ull;
+  const auto mix = [&h](i64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<u64>(v >> (i * 8)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<i64>(chain.size()));
+  for (const armkern::ArmConvPlan* p : chain) {
+    const ConvShape& s = p->shape;
+    for (const i64 v : {s.batch, s.in_c, s.in_h, s.in_w, s.out_c,
+                        static_cast<i64>(s.kernel), static_cast<i64>(s.stride),
+                        static_cast<i64>(s.pad)})
+      mix(v);
+    mix(p->requested.bits);
+    mix(armkern::blocking_scheme_id(p->kernel, p->requested.bits));
+  }
+  return h;
 }
 
 // Actual bytes backing a plan's prepacked weights (exactly one container
@@ -82,8 +101,7 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         static_cast<int>(i));
   }
 
-  // ---- per-node plans (convs planned with the memoized per-layer search
-  // first; the joint pass below replans the layers it moves) --------------
+  // ---- per-node plans (convs keep the memoized per-layer search winner) --
   for (size_t i = 0; i < n_nodes; ++i) {
     const QnnGraph::Node& n = g.nodes_[i];
     NodePlan& p = plan.nodes_[i];
@@ -146,64 +164,11 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     }
   }
 
-  // ---- joint whole-net blocking over the fused conv chain ---------------
-  std::vector<int> chain;
-  std::vector<armkern::GraphSearchLayer> layers;
-  for (size_t i = 0; i < n_nodes; ++i) {
-    const NodePlan& p = plan.nodes_[i];
-    if (p.kind == NodeKind::kConv && fuse_eligible(*p.conv)) {
-      chain.push_back(static_cast<int>(i));
-      layers.push_back(
-          armkern::GraphSearchLayer{p.conv->shape, p.bits, p.conv->kernel});
-    }
-  }
-  plan.graph_hash_ =
-      layers.empty() ? 0 : armkern::graph_blocking_hash(layers);
-
-  if (opt.joint_search && opt.fusion == FusionMode::kOn && !layers.empty()) {
-    std::vector<gpukern::ArmBlocking> rows;
-    const auto run_search = [&layers] {
-      const armkern::GraphSearchResult r =
-          armkern::search_graph_blocking(layers);
-      std::vector<gpukern::ArmBlocking> out;
-      out.reserve(r.blocking.size());
-      for (const armkern::GemmBlocking& b : r.blocking)
-        out.push_back(gpukern::ArmBlocking{b.mc, b.kc, b.nc});
-      return out;
-    };
-    if (opt.tuning != nullptr)
-      rows = opt.tuning->get_or_search_graph(
-          plan.graph_hash_, static_cast<int>(layers.size()), run_search);
-    else
-      rows = run_search();
-    LBC_VALIDATE(rows.size() == layers.size(), kInternal,
-                 "joint search returned " << rows.size() << " layers, want "
-                                          << layers.size());
-
-    std::vector<armkern::GemmBlocking> joint, greedy;
-    for (size_t j = 0; j < layers.size(); ++j) {
-      joint.push_back(
-          armkern::GemmBlocking{rows[j].mc, rows[j].kc, rows[j].nc});
-      greedy.push_back(armkern::search_blocking(
-          layers[j].shape, layers[j].bits, layers[j].kernel));
-    }
-    // Both assignments priced under the SAME chained objective, so
-    // greedy - joint is exactly the margin graph-level planning buys.
-    plan.joint_cycles_ = armkern::score_graph_blocking(layers, joint);
-    plan.greedy_cycles_ = armkern::score_graph_blocking(layers, greedy);
-
-    for (size_t j = 0; j < chain.size(); ++j) {
-      NodePlan& p = plan.nodes_[static_cast<size_t>(chain[j])];
-      if (same_blocking(p.conv->blocking, joint[j])) continue;
-      armkern::ArmConvOptions copt = p.conv->requested;
-      copt.blocking = armkern::BlockingPolicy::kExplicit;
-      copt.explicit_blocking = joint[j];
-      const QnnGraph::Node& n = g.nodes_[static_cast<size_t>(chain[j])];
-      LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
-                           armkern::plan_conv(n.conv, n.weight_q, copt));
-      p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
-    }
-  }
+  std::vector<const armkern::ArmConvPlan*> chain;
+  for (const NodePlan& p : plan.nodes_)
+    if (p.kind == NodeKind::kConv && fuse_eligible(*p.conv))
+      chain.push_back(p.conv.get());
+  plan.graph_hash_ = chain.empty() ? 0 : chain_hash(chain);
 
   // ---- epilogue fusion pairing ------------------------------------------
   if (opt.fusion == FusionMode::kOn) {

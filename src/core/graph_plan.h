@@ -16,10 +16,9 @@
 //    operand's activation is already resident in the arena), and the conv
 //    writes the add node's slot directly. Bit-exact vs the unfused path:
 //    both run the same fixed-point requant multipliers in the same order.
-//  * Joint whole-net blocking — armkern::search_graph_blocking picks every
-//    fused layer's {Mc, Kc, Nc} under one chained cache-replay objective
-//    (seeded from the memoized per-layer winners, persisted as TuningCache
-//    v4 "graph" rows keyed by graph_blocking_hash).
+//  * Per-layer blocking — every conv keeps the memoized
+//    armkern::search_blocking winner for its shape ("determined once per
+//    convolution shape", Sec. 5.1); the fused epilogue reuses it as is.
 //  * One arena — every activation slot gets a liveness-assigned offset in
 //    a single lbc::Workspace (first-fit over [def, last-use] intervals);
 //    per-node conv scratch is taken above a Workspace mark and released by
@@ -35,7 +34,7 @@
 #include <memory>
 #include <vector>
 
-#include "armkern/tile_search.h"
+#include "armkern/conv_arm.h"
 #include "common/workspace.h"
 #include "core/qnn_graph.h"
 #include "gpukern/tuning_cache.h"
@@ -52,23 +51,22 @@ struct GraphPlanOptions {
   FusionMode fusion = FusionMode::kOn;
   armkern::ConvAlgo algo = armkern::ConvAlgo::kAuto;
   int threads = 1;
-  /// Whole-net joint {Mc, Kc, Nc} search over the fused conv chain. Off,
-  /// each conv keeps its per-layer memoized winner.
-  bool joint_search = true;
-  /// Optional persistent store for the joint search's winners (TuningCache
-  /// v4 "graph" rows keyed by graph_blocking_hash).
-  gpukern::TuningCache* tuning = nullptr;
   /// Opt-in post-compile audit (check::audit_plan): re-checks slot
   /// liveness disjointness, fused-epilogue containment, packed-weight
   /// accounting, and blocking clamp bounds over the compiled plan;
   /// compile fails with kInvariantViolation naming the invariant.
   bool audit = false;
+
+  // No-ops, kept only because perfbench/graph.cpp still reads them; the
+  // next benchmark revision removes them.
+  bool joint_search = false;
+  gpukern::TuningCache* tuning = nullptr;
 };
 
 class GraphPlan {
  public:
   /// Compile the whole graph: resolve every conv's plan (prepacked
-  /// weights), run the joint blocking search, pair fusable epilogues, and
+  /// weights, per-layer blocking), pair fusable epilogues, and
   /// lay out the activation arena by liveness. The graph must be
   /// calibrated. The plan snapshots the graph — later push()/calibrate()
   /// calls on `g` do not affect a compiled plan.
@@ -91,8 +89,9 @@ class GraphPlan {
   /// Total arena reservation: activation slots + the peak per-node fused
   /// scratch (accumulator block + pack buffers).
   i64 arena_reserve_bytes() const { return arena_reserve_bytes_; }
-  /// armkern::graph_blocking_hash over the fused conv chain (0 when the
-  /// chain is empty) — the TuningCache v4 / serve registry key.
+  /// Stable FNV-1a hash over the fused conv chain's (geometry, bits,
+  /// scheme) sequence (0 when the chain is empty) — the serve registry
+  /// key: graphs of the same topology and bits share one compiled plan.
   u64 graph_hash() const { return graph_hash_; }
   int conv_nodes() const { return conv_nodes_; }
   /// Sum of the conv plans' prepacked weight bytes — what a memory budget
@@ -102,11 +101,17 @@ class GraphPlan {
   int fused_convs() const { return fused_convs_; }
   /// Residual adds folded into a producer conv's epilogue.
   int fused_adds() const { return fused_adds_; }
-  /// Whole-net modeled cycles of the joint vs per-layer-greedy blocking
-  /// under the chained replay objective (both 0 when joint search did not
-  /// run). greedy - joint is the modeled margin graph-level planning buys.
-  double joint_cycles() const { return joint_cycles_; }
-  double greedy_cycles() const { return greedy_cycles_; }
+  /// Node `i`'s compiled conv plan when it executes through the fused
+  /// epilogue, else nullptr (also for `i` outside [0, node_count())).
+  const armkern::ArmConvPlan* fused_conv(i64 i) const {
+    if (i < 0 || i >= node_count()) return nullptr;
+    const NodePlan& n = nodes_[static_cast<size_t>(i)];
+    return n.fused ? n.conv.get() : nullptr;
+  }
+  // No-ops, kept only because perfbench/graph.cpp still reads them; the
+  // next benchmark revision removes them.
+  double joint_cycles() const { return 0; }
+  double greedy_cycles() const { return 0; }
 
  private:
   enum class NodeKind { kInput, kConv, kAdd, kMaxPool2, kGlobalAvgPool };
@@ -152,8 +157,6 @@ class GraphPlan {
   int conv_nodes_ = 0;
   int fused_convs_ = 0;
   int fused_adds_ = 0;
-  double joint_cycles_ = 0;
-  double greedy_cycles_ = 0;
 };
 
 }  // namespace lbc::core

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "armkern/tile_search.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -42,41 +41,11 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
   u64 seed = opt.seed;
   auto& fi = FaultInjector::instance();
 
-  // Whole-net joint blocking (ARM backend): the layer table is a chain —
-  // in deployment layer i's output feeds layer i+1's im2col gather — so
-  // the blocked-GEMM winners are searched jointly under the chained
-  // cache-replay objective instead of per layer against a cold cache.
-  std::vector<armkern::GemmBlocking> joint;
-  if (opt.joint_blocking && opt.backend == Backend::kArmCortexA53) {
-    const armkern::ArmConvOptions aopt =
-        arm_conv_options(opt.bits, opt.arm_impl, opt.arm_algo, opt.threads);
-    if (aopt.algo == armkern::ConvAlgo::kGemm &&
-        aopt.kernel != armkern::ArmKernel::kTraditional) {
-      armkern::ArmKernel kern = aopt.kernel;
-      if (kern == armkern::ArmKernel::kSdotExt &&
-          !armkern::sdot_eligible_for(aopt.bits))
-        kern = armkern::ArmKernel::kOursGemm;
-      std::vector<armkern::GraphSearchLayer> gs;
-      for (const ConvShape& table_shape : layers) {
-        const ConvShape s = opt.batch == 1
-                                ? table_shape
-                                : table_shape.with_batch(opt.batch);
-        if (!s.valid()) {
-          gs.clear();  // a bad row falls back to per-layer winners
-          break;
-        }
-        gs.push_back(armkern::GraphSearchLayer{s, aopt.bits, kern});
-      }
-      if (!gs.empty()) joint = armkern::search_graph_blocking(gs).blocking;
-    }
-  }
-
   // Phase 1 — compile: generate each layer's tensors and resolve its plan
   // (fallback ladder + weight prepack / tiling search) before any layer
   // executes, the deployment shape: all packing cost is front-loaded here.
   std::vector<PlannedLayer> planned;
   planned.reserve(layers.size());
-  size_t layer_idx = 0;
   for (const ConvShape& table_shape : layers) {
     // The serving path batches whole-model runs: each layer executes once
     // with the micro-batch folded into N, amortizing packing per layer.
@@ -100,12 +69,9 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
       pl.weight = random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel},
                                  opt.bits, layer_seed + 1);
       if (opt.backend == Backend::kArmCortexA53) {
-        const armkern::GemmBlocking* pin =
-            layer_idx < joint.size() ? &joint[layer_idx] : nullptr;
         StatusOr<ConvPlan> p = plan_arm_conv(s, pl.weight, opt.bits,
                                              opt.arm_impl, opt.arm_algo,
-                                             opt.threads, /*verify=*/false,
-                                             /*tuning=*/nullptr, pin);
+                                             opt.threads);
         if (p.ok()) {
           pl.plan = std::make_shared<const ConvPlan>(std::move(p).value());
         } else if (p.status().code() != StatusCode::kResourceExhausted) {
@@ -139,7 +105,6 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
       pl.errored = true;
     }
     planned.push_back(std::move(pl));
-    ++layer_idx;
   }
 
   // Phase 2 — execute: one Workspace serves every layer; the arena grows to

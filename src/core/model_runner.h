@@ -52,10 +52,6 @@ struct ModelRunOptions {
   int threads = 1;      ///< ARM row-panel workers (Pi 3B has 4 cores)
   int batch = 1;        ///< micro-batch: every layer runs with this batch
   bool verify = false;  ///< run the reference conv per layer (slow)
-  /// ARM backend: pick every blocked-GEMM layer's {Mc, Kc, Nc} with the
-  /// whole-net joint search (armkern::search_graph_blocking) instead of
-  /// per-layer winners — the layer table is treated as a chain.
-  bool joint_blocking = true;
   u64 seed = 1;
 };
 

@@ -279,7 +279,7 @@ QnnGraph::RunResult QnnGraph::forward(const Tensor<float>& x,
                                       armkern::ConvAlgo algo) const {
   LBC_CHECK_MSG(calibrated_, "forward: call calibrate() first");
   // Compile-once, execute-many: the whole net is compiled into a GraphPlan
-  // (fused epilogues + joint blocking + liveness-packed arena) the first
+  // (fused epilogues + per-layer blocking + liveness-packed arena) the first
   // time each algo is requested. Graph construction already validated the
   // convs; a compile failure here is a programming error, so .value()
   // (fatal, defined) is correct.

@@ -1,11 +1,132 @@
 #include "gpukern/tuning_cache.h"
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
 #include "common/fault_injection.h"
 
 namespace lbc::gpukern {
+
+namespace {
+
+// Entry tags, and the set each readable header may carry. v4 "graph" rows
+// are skipped (and counted) rather than parsed: nothing reads them.
+enum Tag : unsigned { kGpu = 1u, kArm = 2u, kX86 = 4u, kGraph = 8u };
+
+struct Format {
+  const char* header;
+  unsigned tags;
+};
+constexpr Format kFormats[] = {
+    {kTuningCacheHeader, kGpu | kArm | kX86},
+    {kTuningCacheHeaderV4, kGpu | kArm | kX86 | kGraph},
+    {kTuningCacheHeaderV3, kGpu | kArm | kX86},
+    {kTuningCacheHeaderV2, kGpu | kArm},
+    {kTuningCacheHeaderV1, kGpu},
+};
+
+struct TagName {
+  const char* name;
+  Tag tag;
+};
+constexpr TagName kTagNames[] = {
+    {"gpu", kGpu}, {"arm", kArm}, {"x86", kX86}, {"graph", kGraph}};
+
+struct ParsedEntries {
+  std::vector<std::pair<TuningKey, Tiling>> gpu;
+  std::vector<std::pair<ArmTuningKey, ArmBlocking>> arm;
+  std::vector<std::pair<X86TuningKey, X86Blocking>> x86;
+  i64 skipped_graph_rows = 0;
+};
+
+// Reads exactly `fields` from the rest of the line.
+template <typename... T>
+Status read_fields(std::istringstream& ls, T&... fields) {
+  LBC_VALIDATE(static_cast<bool>((ls >> ... >> fields)), kDataLoss,
+               "truncated or garbage entry");
+  std::string trailing;
+  LBC_VALIDATE(!(ls >> trailing), kDataLoss, "trailing fields after entry");
+  return Status();
+}
+
+Status validate_gemm_key(i64 m, i64 n, i64 k, int bits) {
+  LBC_VALIDATE(m > 0 && n > 0 && k > 0, kDataLoss,
+               "non-positive GEMM dimension");
+  LBC_VALIDATE(bits >= 2 && bits <= 8, kDataLoss,
+               "bits " << bits << " outside [2, 8]");
+  return Status();
+}
+
+// One non-blank entry line under `fmt`: a tag word ("gpu", "arm", ...) or
+// a bare v1 GPU body.
+Status parse_entry(const std::string& line, const Format& fmt,
+                   ParsedEntries& out) {
+  std::istringstream ls(line);
+  TagName tn = kTagNames[0];
+  if (std::isalpha(static_cast<unsigned char>(line[0]))) {
+    std::string word;
+    ls >> word;
+    const auto it = std::find_if(
+        std::begin(kTagNames), std::end(kTagNames),
+        [&word](const TagName& t) { return word == t.name; });
+    LBC_VALIDATE(it != std::end(kTagNames), kDataLoss,
+                 "unknown entry tag \"" << word << "\"");
+    tn = *it;
+  }
+  LBC_VALIDATE((fmt.tags & tn.tag) != 0, kDataLoss,
+               tn.name << " entry in a \"" << fmt.header << "\" file");
+  switch (tn.tag) {
+    case kGraph:
+      ++out.skipped_graph_rows;
+      return Status();
+    case kArm: {
+      ArmTuningKey k;
+      ArmBlocking b;
+      LBC_RETURN_IF_ERROR(
+          read_fields(ls, k.m, k.n, k.k, k.bits, k.scheme, b.mc, b.kc, b.nc));
+      LBC_RETURN_IF_ERROR(validate_gemm_key(k.m, k.n, k.k, k.bits));
+      LBC_VALIDATE(k.scheme >= 0 && k.scheme <= kArmSchemeIdMax, kDataLoss,
+                   "scheme " << k.scheme << " outside [0, " << kArmSchemeIdMax
+                             << "]");
+      LBC_RETURN_IF_ERROR(validate_arm_blocking(b));
+      out.arm.emplace_back(k, b);
+      return Status();
+    }
+    case kX86: {
+      X86TuningKey k;
+      X86Blocking b;
+      LBC_RETURN_IF_ERROR(
+          read_fields(ls, k.m, k.n, k.k, k.bits, k.scheme, b.rb, b.cb));
+      LBC_RETURN_IF_ERROR(validate_gemm_key(k.m, k.n, k.k, k.bits));
+      LBC_VALIDATE(k.scheme == 0 || k.scheme == 1, kDataLoss,
+                   "native scheme " << k.scheme << " outside [0, 1]");
+      LBC_RETURN_IF_ERROR(validate_x86_blocking(b));
+      out.x86.emplace_back(k, b);
+      return Status();
+    }
+    case kGpu: {
+      TuningKey k;
+      Tiling t;
+      int tc = 1;
+      LBC_RETURN_IF_ERROR(read_fields(ls, k.m, k.n, k.k, k.bits, tc, t.mtile,
+                                      t.ntile, t.ktile, t.kstep, t.warp_rows,
+                                      t.warp_cols));
+      LBC_RETURN_IF_ERROR(validate_gemm_key(k.m, k.n, k.k, k.bits));
+      LBC_VALIDATE(tc == 0 || tc == 1, kDataLoss,
+                   "use_tc must be 0 or 1, got " << tc);
+      k.use_tc = (tc != 0);
+      LBC_RETURN_IF_ERROR(validate_tiling(t));
+      out.gpu.emplace_back(k, t);
+      return Status();
+    }
+  }
+  return Status();
+}
+
+}  // namespace
 
 Status validate_tiling(const Tiling& t) {
   LBC_VALIDATE(t.mtile > 0 && t.ntile > 0 && t.ktile > 0 && t.kstep > 0,
@@ -168,76 +289,9 @@ void TuningCache::put_x86(const X86TuningKey& key, const X86Blocking& b) {
   x86_entries_[key] = b;
 }
 
-std::optional<std::vector<ArmBlocking>> TuningCache::lookup_graph(
-    u64 graph_hash, int n_layers) const {
-  if (n_layers <= 0) return std::nullopt;
-  MutexLock lock(mu_);
-  std::vector<ArmBlocking> plan;
-  plan.reserve(static_cast<size_t>(n_layers));
-  for (int layer = 0; layer < n_layers; ++layer) {
-    const auto it = graph_entries_.find(GraphTuningKey{graph_hash, layer});
-    if (it == graph_entries_.end()) return std::nullopt;
-    plan.push_back(it->second);
-  }
-  return plan;
-}
-
-std::vector<ArmBlocking> TuningCache::get_or_search_graph(
-    u64 graph_hash, int n_layers,
-    const std::function<std::vector<ArmBlocking>()>& search) {
-  if (n_layers > 0) {
-    MutexLock lock(mu_);
-    std::vector<ArmBlocking> plan;
-    plan.reserve(static_cast<size_t>(n_layers));
-    bool complete = true;
-    bool corrupt = false;
-    for (int layer = 0; layer < n_layers && complete && !corrupt; ++layer) {
-      const auto it = graph_entries_.find(GraphTuningKey{graph_hash, layer});
-      if (it == graph_entries_.end()) {
-        complete = false;
-        break;
-      }
-      ArmBlocking hit = it->second;
-      // kTuningCacheCorrupt: a poisoned graph row surfaces at lookup
-      // time, same recovery as the per-shape backends — but a joint plan
-      // is all-or-nothing, so one bad row re-searches the whole graph.
-      if (layer == 0 && FaultInjector::instance().should_fire(
-                            FaultSite::kTuningCacheCorrupt))
-        hit.mc = -7;
-      if (!validate_arm_blocking(hit).ok()) {
-        corrupt = true;
-        break;
-      }
-      plan.push_back(hit);
-    }
-    if (complete && !corrupt) {
-      ++hits_;
-      return plan;
-    }
-    if (corrupt) {
-      for (int layer = 0; layer < n_layers; ++layer)
-        graph_entries_.erase(GraphTuningKey{graph_hash, layer});
-      ++corrupt_evictions_;
-    }
-    ++misses_;
-  }
-  const std::vector<ArmBlocking> plan = search();
-  put_graph(graph_hash, plan);
-  return plan;
-}
-
-void TuningCache::put_graph(u64 graph_hash,
-                            const std::vector<ArmBlocking>& plan) {
-  MutexLock lock(mu_);
-  for (size_t layer = 0; layer < plan.size(); ++layer)
-    graph_entries_[GraphTuningKey{graph_hash, static_cast<int>(layer)}] =
-        plan[layer];
-}
-
 size_t TuningCache::size() const {
   MutexLock lock(mu_);
-  return entries_.size() + arm_entries_.size() + x86_entries_.size() +
-         graph_entries_.size();
+  return entries_.size() + arm_entries_.size() + x86_entries_.size();
 }
 
 size_t TuningCache::arm_size() const {
@@ -250,9 +304,9 @@ size_t TuningCache::x86_size() const {
   return x86_entries_.size();
 }
 
-size_t TuningCache::graph_size() const {
+i64 TuningCache::skipped_graph_rows() const {
   MutexLock lock(mu_);
-  return graph_entries_.size();
+  return skipped_graph_rows_;
 }
 
 i64 TuningCache::hits() const {
@@ -287,9 +341,6 @@ std::string TuningCache::serialize() const {
   for (const auto& [k, b] : x86_entries_)
     out << "x86 " << k.m << ' ' << k.n << ' ' << k.k << ' ' << k.bits << ' '
         << k.scheme << ' ' << b.rb << ' ' << b.cb << '\n';
-  for (const auto& [k, b] : graph_entries_)
-    out << "graph " << k.graph_hash << ' ' << k.layer << ' ' << b.mc << ' '
-        << b.kc << ' ' << b.nc << '\n';
   return out.str();
 }
 
@@ -298,137 +349,31 @@ StatusOr<int> TuningCache::deserialize(const std::string& text) {
   std::string line;
   LBC_VALIDATE(std::getline(in, line), kDataLoss,
                "empty input: expected header \"" << kTuningCacheHeader << "\"");
-  const bool v1 = (line == kTuningCacheHeaderV1);
-  const bool v2 = (line == kTuningCacheHeaderV2);
-  const bool v3 = (line == kTuningCacheHeaderV3);
-  LBC_VALIDATE(v1 || v2 || v3 || line == kTuningCacheHeader, kDataLoss,
+  const auto fmt =
+      std::find_if(std::begin(kFormats), std::end(kFormats),
+                   [&line](const Format& f) { return line == f.header; });
+  LBC_VALIDATE(fmt != std::end(kFormats), kDataLoss,
                "unsupported cache format: expected header \""
-                   << kTuningCacheHeader << "\" (or v3/v2/v1), got \"" << line
+                   << kTuningCacheHeader << "\" (or v4-v1), got \"" << line
                    << "\"");
 
   // Parse everything before merging anything: a corrupt line must not
   // leave the cache half-updated.
-  std::vector<std::pair<TuningKey, Tiling>> parsed;
-  std::vector<std::pair<ArmTuningKey, ArmBlocking>> parsed_arm;
-  std::vector<std::pair<X86TuningKey, X86Blocking>> parsed_x86;
-  std::vector<std::pair<GraphTuningKey, ArmBlocking>> parsed_graph;
+  ParsedEntries parsed;
   int lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    if (line[0] == 'a' || line[0] == 'g' || line[0] == 'x') {
-      ls >> tag;
-      LBC_VALIDATE(
-          tag == "arm" || tag == "gpu" || tag == "x86" || tag == "graph",
-          kDataLoss,
-          "line " << lineno << ": unknown entry tag \"" << tag << "\"");
-      LBC_VALIDATE(!v1 || tag == "gpu", kDataLoss,
-                   "line " << lineno << ": " << tag
-                           << " entry in a v1-headed cache file");
-      LBC_VALIDATE(!v2 || (tag != "x86" && tag != "graph"), kDataLoss,
-                   "line " << lineno << ": " << tag
-                           << " entry in a v2-headed cache file");
-      LBC_VALIDATE(!v3 || tag != "graph", kDataLoss,
-                   "line " << lineno
-                           << ": graph entry in a v3-headed cache file");
-    }
-    if (tag == "graph") {
-      GraphTuningKey k;
-      ArmBlocking b;
-      LBC_VALIDATE(
-          static_cast<bool>(ls >> k.graph_hash >> k.layer >> b.mc >> b.kc >>
-                            b.nc),
-          kDataLoss, "line " << lineno << ": truncated or garbage entry");
-      std::string trailing;
-      LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                   "line " << lineno << ": trailing fields after entry");
-      LBC_VALIDATE(k.layer >= 0 && k.layer < 4096, kDataLoss,
-                   "line " << lineno << ": layer index " << k.layer
-                           << " outside [0, 4096)");
-      if (Status bs = validate_arm_blocking(b); !bs.ok())
-        return bs.with_context("line " + std::to_string(lineno));
-      parsed_graph.emplace_back(k, b);
-      continue;
-    }
-    if (tag == "x86") {
-      X86TuningKey k;
-      X86Blocking b;
-      LBC_VALIDATE(static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >>
-                                     k.scheme >> b.rb >> b.cb),
-                   kDataLoss,
-                   "line " << lineno << ": truncated or garbage entry");
-      std::string trailing;
-      LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                   "line " << lineno << ": trailing fields after entry");
-      LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
-                   "line " << lineno << ": non-positive GEMM dimension");
-      LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
-                   "line " << lineno << ": bits " << k.bits
-                           << " outside [2, 8]");
-      LBC_VALIDATE(k.scheme == 0 || k.scheme == 1, kDataLoss,
-                   "line " << lineno << ": native scheme " << k.scheme
-                           << " outside [0, 1]");
-      if (Status bs = validate_x86_blocking(b); !bs.ok())
-        return bs.with_context("line " + std::to_string(lineno));
-      parsed_x86.emplace_back(k, b);
-      continue;
-    }
-    if (tag == "arm") {
-      ArmTuningKey k;
-      ArmBlocking b;
-      LBC_VALIDATE(
-          static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >> k.scheme >>
-                            b.mc >> b.kc >> b.nc),
-          kDataLoss, "line " << lineno << ": truncated or garbage entry");
-      std::string trailing;
-      LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                   "line " << lineno << ": trailing fields after entry");
-      LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
-                   "line " << lineno << ": non-positive GEMM dimension");
-      LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
-                   "line " << lineno << ": bits " << k.bits
-                           << " outside [2, 8]");
-      LBC_VALIDATE(k.scheme >= 0 && k.scheme <= 3, kDataLoss,
-                   "line " << lineno << ": scheme " << k.scheme
-                           << " outside [0, 3]");
-      if (Status bs = validate_arm_blocking(b); !bs.ok())
-        return bs.with_context("line " + std::to_string(lineno));
-      parsed_arm.emplace_back(k, b);
-      continue;
-    }
-    TuningKey k;
-    Tiling t;
-    int tc = 1;
-    LBC_VALIDATE(static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >> tc >>
-                                   t.mtile >> t.ntile >> t.ktile >> t.kstep >>
-                                   t.warp_rows >> t.warp_cols),
-                 kDataLoss, "line " << lineno << ": truncated or garbage entry");
-    std::string trailing;
-    LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                 "line " << lineno << ": trailing fields after entry");
-    LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
-                 "line " << lineno << ": non-positive GEMM dimension");
-    LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
-                 "line " << lineno << ": bits " << k.bits
-                         << " outside [2, 8]");
-    LBC_VALIDATE(tc == 0 || tc == 1, kDataLoss,
-                 "line " << lineno << ": use_tc must be 0 or 1, got " << tc);
-    k.use_tc = (tc != 0);
-    if (Status ts = validate_tiling(t); !ts.ok())
-      return ts.with_context("line " + std::to_string(lineno));
-    parsed.emplace_back(k, t);
+    if (Status st = parse_entry(line, *fmt, parsed); !st.ok())
+      return st.with_context("line " + std::to_string(lineno));
   }
-  for (const auto& [k, t] : parsed) put(k, t);
-  for (const auto& [k, b] : parsed_arm) put_arm(k, b);
-  for (const auto& [k, b] : parsed_x86) put_x86(k, b);
-  {
-    MutexLock lock(mu_);
-    for (const auto& [k, b] : parsed_graph) graph_entries_[k] = b;
-  }
-  return static_cast<int>(parsed.size() + parsed_arm.size() +
-                          parsed_x86.size() + parsed_graph.size());
+  MutexLock lock(mu_);
+  for (const auto& [k, t] : parsed.gpu) entries_[k] = t;
+  for (const auto& [k, b] : parsed.arm) arm_entries_[k] = b;
+  for (const auto& [k, b] : parsed.x86) x86_entries_[k] = b;
+  skipped_graph_rows_ += parsed.skipped_graph_rows;
+  return static_cast<int>(parsed.gpu.size() + parsed.arm.size() +
+                          parsed.x86.size());
 }
 
 }  // namespace lbc::gpukern

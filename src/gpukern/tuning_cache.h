@@ -20,12 +20,11 @@
 // search amortized across process runs the same way. v2 and v1 files
 // still load.
 //
-// Format v4 adds whole-graph joint ARM blockings under the "graph" tag:
-// one row per layer, keyed by armkern::graph_blocking_hash over the net's
-// (geometry, bits, scheme) sequence. The joint search prices layers
-// against a chained cache replay, so its winners are a property of the
-// whole net, not any single shape — hence the separate key space. v3 and
-// older files still load.
+// Format v5 drops v4's "graph" rows (the whole-net joint blocking search's
+// per-layer winners; nothing reads them): a v4 file still loads, its graph
+// rows skipped and counted (skipped_graph_rows()). Every format maps its
+// header to the entry tags it may carry; a tag its header never carried is
+// a kDataLoss error.
 #pragma once
 
 #include <functional>
@@ -42,10 +41,11 @@ namespace lbc::gpukern {
 
 /// First line of every serialized cache. Bump the version when fields
 /// change so old readers reject new files instead of misparsing them.
-inline constexpr const char* kTuningCacheHeader = "lbc-tuning-cache v4";
+inline constexpr const char* kTuningCacheHeader = "lbc-tuning-cache v5";
 /// Previous formats — still readable. v1 carried GPU entries only (bare
-/// lines); v2 added "arm" entries; v3 added "x86" entries; v4 adds
-/// whole-graph "graph" entries.
+/// lines); v2 added "arm" entries; v3 added "x86" entries; v4 added
+/// whole-graph "graph" entries, which v5 skips.
+inline constexpr const char* kTuningCacheHeaderV4 = "lbc-tuning-cache v4";
 inline constexpr const char* kTuningCacheHeaderV3 = "lbc-tuning-cache v3";
 inline constexpr const char* kTuningCacheHeaderV2 = "lbc-tuning-cache v2";
 inline constexpr const char* kTuningCacheHeaderV1 = "lbc-tuning-cache v1";
@@ -58,9 +58,13 @@ struct TuningKey {
   auto operator<=>(const TuningKey&) const = default;
 };
 
+/// ARM micro-kernel scheme ids (armkern::blocking_scheme_id): 0 = SMLAL,
+/// 1 = MLA, 2 = ncnn, 3 = SDOT, 4 = TBL.
+inline constexpr int kArmSchemeIdMax = 4;
+
 /// Key of an ARM blocked-GEMM entry. `scheme` is the micro-kernel scheme
-/// id (armkern: 0 = SMLAL, 1 = MLA, 2 = ncnn, 3 = SDOT) — the winner
-/// depends on the kernel's load pattern, not just the GEMM view.
+/// id in [0, kArmSchemeIdMax] — the winner depends on the kernel's load
+/// pattern, not just the GEMM view.
 struct ArmTuningKey {
   i64 m = 0, n = 0, k = 0;
   int bits = 8;
@@ -94,18 +98,6 @@ struct X86Blocking {
   i64 rb = 0, cb = 0;
 
   auto operator<=>(const X86Blocking&) const = default;
-};
-
-/// Key of one layer of a whole-graph joint ARM plan. `graph_hash` is
-/// armkern::graph_blocking_hash over the net's (geometry, bits, scheme)
-/// sequence; `layer` is the layer's position in execution order. A joint
-/// plan is usable only when every layer row is present — lookup_graph
-/// treats a partial set as a miss.
-struct GraphTuningKey {
-  u64 graph_hash = 0;
-  int layer = 0;
-
-  auto operator<=>(const GraphTuningKey&) const = default;
 };
 
 /// Static sanity of a tiling (positive, bounded, divisible): the check a
@@ -162,28 +154,11 @@ class TuningCache {
 
   void put_x86(const X86TuningKey& key, const X86Blocking& b);
 
-  // --- whole-graph joint ARM entries (format v4) ----------------------
-
-  /// The complete joint plan for a graph hash, if every one of its
-  /// `n_layers` layer rows is cached and valid. A partial or corrupt set
-  /// is a miss (corrupt rows are evicted; corrupt_evictions() counts).
-  std::optional<std::vector<ArmBlocking>> lookup_graph(u64 graph_hash,
-                                                       int n_layers) const;
-
-  /// Cached joint plan, invoking `search` (armkern::search_graph_blocking
-  /// behind a thunk — this layer stays ARM-free) and storing all layer
-  /// rows on a miss. All-or-nothing: a hit requires every layer row
-  /// present and valid, else the whole plan is re-searched.
-  std::vector<ArmBlocking> get_or_search_graph(
-      u64 graph_hash, int n_layers,
-      const std::function<std::vector<ArmBlocking>()>& search);
-
-  void put_graph(u64 graph_hash, const std::vector<ArmBlocking>& plan);
-
-  size_t size() const;      ///< GPU + ARM + x86 + graph entries
+  size_t size() const;      ///< GPU + ARM + x86 entries
   size_t arm_size() const;  ///< ARM entries only
   size_t x86_size() const;  ///< native x86 entries only
-  size_t graph_size() const;  ///< whole-graph layer rows only
+  /// v4 "graph" rows deserialize() skipped (summed over every load).
+  i64 skipped_graph_rows() const;
   // Stat reads take the mutex too: concurrent scheduler workers share one
   // cache, and an unlocked i64 read against a writer is a data race (TSan
   // flags it) even when the torn value would be harmless.
@@ -191,32 +166,38 @@ class TuningCache {
   i64 misses() const;
   i64 corrupt_evictions() const;
 
-  /// Text round trip. Format v4: the version header line, then one entry
+  /// Text round trip. Format v5: the version header line, then one entry
   /// per line — GPU entries bare ("m n k bits use_tc mtile ntile ktile
   /// kstep wr wc", v1-compatible body) or with an explicit "gpu " prefix,
   /// ARM entries "arm m n k bits scheme mc kc nc", native entries
-  /// "x86 m n k bits scheme rb cb", whole-graph joint entries
-  /// "graph hash layer mc kc nc".
+  /// "x86 m n k bits scheme rb cb".
   std::string serialize() const;
 
   /// Merge entries from serialized text; returns entries accepted.
-  /// Accepts the v4 header, and v3/v2/v1-headed files for read
-  /// compatibility (a tag an older format never carried — "graph" in
-  /// v3/v2/v1, "x86" in v2/v1, "arm" in v1 — is a kDataLoss error).
-  /// Strict: a missing/unknown header, a truncated or garbage line, or
-  /// out-of-range tiling values yield a kDataLoss error naming the line,
-  /// and NO entries are merged (all-or-nothing).
+  /// Accepts the v5 header, and v4-v1 headers for read compatibility: a
+  /// tag the header's format never carried ("graph" outside v4, "x86" in
+  /// v2/v1, "arm" in v1) is a kDataLoss error, and v4 "graph" rows are
+  /// skipped. Strict: a missing/unknown header, a truncated or garbage
+  /// line, or out-of-range values yield an error naming the line, and NO
+  /// entries are merged (all-or-nothing).
   StatusOr<int> deserialize(const std::string& text);
+
+  // No-ops, kept only because perfbench/graph.cpp still reads them; the
+  // next benchmark revision removes them.
+  std::optional<std::vector<ArmBlocking>> lookup_graph(u64, int) const {
+    return std::nullopt;
+  }
+  size_t graph_size() const { return 0; }
 
  private:
   mutable Mutex mu_;
   std::map<TuningKey, Tiling> entries_ LBC_GUARDED_BY(mu_);
   std::map<ArmTuningKey, ArmBlocking> arm_entries_ LBC_GUARDED_BY(mu_);
   std::map<X86TuningKey, X86Blocking> x86_entries_ LBC_GUARDED_BY(mu_);
-  std::map<GraphTuningKey, ArmBlocking> graph_entries_ LBC_GUARDED_BY(mu_);
   i64 hits_ LBC_GUARDED_BY(mu_) = 0;
   i64 misses_ LBC_GUARDED_BY(mu_) = 0;
   i64 corrupt_evictions_ LBC_GUARDED_BY(mu_) = 0;
+  i64 skipped_graph_rows_ LBC_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace lbc::gpukern

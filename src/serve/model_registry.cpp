@@ -9,17 +9,16 @@ namespace {
 
 /// Fold the compile options into a nonzero graph hash: two models over the
 /// same fused chain share a compiled plan only when they would compile the
-/// SAME plan (fusion mode, algo, threads, joint search all agree).
+/// SAME plan (fusion mode, algo, threads all agree).
 u64 graph_plan_key(u64 graph_hash, const core::GraphPlanOptions& o) {
   u64 h = graph_hash;
   const auto step = [&h](u64 v) {
     h ^= v;
-    h *= 1099511628211ull;  // FNV-1a prime, matching graph_blocking_hash
+    h *= 1099511628211ull;  // FNV-1a prime, matching GraphPlan::graph_hash
   };
   step(static_cast<u64>(o.fusion));
   step(static_cast<u64>(o.algo));
   step(static_cast<u64>(o.threads));
-  step(o.joint_search ? 1 : 0);
   return h;
 }
 
@@ -157,7 +156,7 @@ ModelRegistry::acquire_graph_plan(const std::string& name) {
       }
     }
   }
-  // Compile outside mu_ — the whole-net compile (joint search + weight
+  // Compile outside mu_ — the whole-net compile (tile search + weight
   // prepack across every layer) is the slowest thing the registry does and
   // must not block lookups. Same validity contract as acquire_plan: callers
   // must not race unregister_graph_model of the same name.

@@ -106,7 +106,7 @@ Status ModelServer::add_graph_model(const std::string& name,
   model->breaker = std::make_unique<CircuitBreaker>(opt.breaker);
 
   // Eager compile: registration surfaces plan errors and the first request
-  // never pays the whole-net compile (joint search + weight prepack).
+  // never pays the whole-net compile (tile search + weight prepack).
   StatusOr<std::shared_ptr<const core::GraphPlan>> warm =
       registry_.acquire_graph_plan(name);
   if (!warm.ok()) {
@@ -119,8 +119,6 @@ Status ModelServer::add_graph_model(const std::string& name,
     // in the model itself (same arithmetic, per-layer execution).
     core::GraphPlanOptions fb = opt.plan;
     fb.fusion = core::FusionMode::kOff;
-    fb.joint_search = false;
-    fb.tuning = nullptr;
     StatusOr<core::GraphPlan> p = core::GraphPlan::compile(*graph, fb);
     if (!p.ok()) {
       (void)registry_.unregister_graph_model(name);

@@ -54,13 +54,12 @@ struct ModelOptions {
 /// Options for a whole-net graph model (served through a compiled
 /// core::GraphPlan instead of a per-layer BatchScheduler).
 struct GraphModelOptions {
-  /// Compile options for the registry's cached plan (fusion, algo, threads,
-  /// joint search, tuning cache).
+  /// Compile options for the registry's cached plan (fusion, algo, threads).
   core::GraphPlanOptions plan;
   BreakerOptions breaker;
   /// kReferenceFallback serves tripped-breaker requests through a pinned
-  /// UNFUSED plan (FusionMode::kOff, no joint search) — degraded but
-  /// bit-exact service, the graph twin of the conv reference rung.
+  /// UNFUSED plan (FusionMode::kOff) — degraded but bit-exact service, the
+  /// graph twin of the conv reference rung.
   BreakerMode breaker_mode = BreakerMode::kFastFail;
   /// Concurrent graph executions; arrivals past the cap shed kOverloaded
   /// (the graph path's admission bound — there is no coalescing queue).

@@ -1,18 +1,18 @@
 // Whole-net graph compiler tests: fused-vs-unfused bit-exactness, residual
-// add fusion, joint-vs-greedy blocking, arena steady state, TuningCache v4
-// persistence, and the serve-tier graph-model surface (registry plan
-// sharing + budget eviction, ModelServer submit_graph contract).
+// add fusion, per-layer blocking of fused convs, arena steady state, and
+// the serve-tier graph-model surface (registry plan sharing + budget
+// eviction, ModelServer submit_graph contract).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
 #include <memory>
 
+#include "armkern/tile_search.h"
 #include "common/rng.h"
 #include "common/workspace.h"
 #include "core/graph_plan.h"
 #include "core/qnn_graph.h"
-#include "gpukern/tuning_cache.h"
 #include "serve/server.h"
 
 namespace lbc::core {
@@ -55,7 +55,6 @@ GraphPlanOptions fused_options() {
 GraphPlanOptions unfused_options() {
   GraphPlanOptions o;
   o.fusion = FusionMode::kOff;
-  o.joint_search = false;
   o.algo = armkern::ConvAlgo::kGemm;
   return o;
 }
@@ -119,13 +118,28 @@ TEST(GraphPlan, FusionOffMatchesGraphForward) {
   EXPECT_EQ(r.node_seconds.size(), via_graph.node_seconds.size());
 }
 
-TEST(GraphPlan, JointSearchNeverLosesToGreedy) {
-  QnnGraph g = bottleneck_graph(4);
-  ASSERT_TRUE(g.calibrate(graph_input()).ok());
-
-  const GraphPlan plan = GraphPlan::compile(g, fused_options()).value();
-  ASSERT_GT(plan.greedy_cycles(), 0) << "joint search did not run";
-  EXPECT_LE(plan.joint_cycles(), plan.greedy_cycles() * (1 + 1e-9));
+TEST(GraphPlan, FusedConvsKeepPerLayerSearchWinner) {
+  // Tiling is fixed once per convolution shape (Sec. 5.1): fusing a conv's
+  // epilogue must not move its blocking off the per-layer search winner.
+  for (int bits : {2, 3, 4, 8}) {
+    QnnGraph g = bottleneck_graph(bits);
+    ASSERT_TRUE(g.calibrate(graph_input()).ok());
+    const GraphPlan plan = GraphPlan::compile(g, fused_options()).value();
+    int checked = 0;
+    for (i64 i = 0; i < plan.node_count(); ++i) {
+      const armkern::ArmConvPlan* c = plan.fused_conv(i);
+      if (c == nullptr) continue;
+      ++checked;
+      const armkern::GemmBlocking want =
+          armkern::search_blocking(c->shape, bits, c->kernel);
+      EXPECT_TRUE(c->blocking == want)
+          << bits << " bits, node " << i << ": {" << c->blocking.mc << ", "
+          << c->blocking.kc << ", " << c->blocking.nc << "} vs searched {"
+          << want.mc << ", " << want.kc << ", " << want.nc << "}";
+    }
+    EXPECT_GT(checked, 0) << bits << " bits";
+    EXPECT_EQ(checked, plan.fused_convs()) << bits << " bits";
+  }
 }
 
 TEST(GraphPlan, ArenaReachesSteadyStateAfterFirstForward) {
@@ -144,30 +158,6 @@ TEST(GraphPlan, ArenaReachesSteadyStateAfterFirstForward) {
   EXPECT_EQ(arena.grow_count() + scratch.grow_count(), grows_after_first)
       << "steady-state forward re-grew its arenas";
   EXPECT_TRUE(same_bits(r1.out, r2.out));
-}
-
-TEST(GraphPlan, TuningCachePersistsJointPlanAcrossCompiles) {
-  QnnGraph g = bottleneck_graph(4);
-  ASSERT_TRUE(g.calibrate(graph_input()).ok());
-
-  gpukern::TuningCache cache;
-  GraphPlanOptions opt = fused_options();
-  opt.tuning = &cache;
-  const GraphPlan first = GraphPlan::compile(g, opt).value();
-  ASSERT_NE(first.graph_hash(), 0u);
-  EXPECT_GT(cache.graph_size(), 0u) << "joint winners not persisted";
-
-  // Ship the cache as text: a fresh process's compile must hit the stored
-  // rows (no re-search) and land on the identical joint objective.
-  gpukern::TuningCache shipped;
-  ASSERT_TRUE(shipped.deserialize(cache.serialize()).ok());
-  GraphPlanOptions opt2 = fused_options();
-  opt2.tuning = &shipped;
-  const i64 misses_before = shipped.misses();
-  const GraphPlan second = GraphPlan::compile(g, opt2).value();
-  EXPECT_EQ(shipped.misses(), misses_before);
-  EXPECT_GT(shipped.hits(), 0);
-  EXPECT_DOUBLE_EQ(first.joint_cycles(), second.joint_cycles());
 }
 
 TEST(GraphPlan, GraphHashKeysTopologyAndBits) {

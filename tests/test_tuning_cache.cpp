@@ -1,12 +1,15 @@
 // Tuning cache: hit/miss behaviour, consistency with a fresh search,
-// serialization round trip, strict corrupt-input rejection, hit-time
-// corruption recovery, thread safety.
+// serialization round trip, strict corrupt-input rejection, old-format
+// reads, hit-time corruption recovery, thread safety.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "armkern/tile_search.h"
 #include "common/fault_injection.h"
+#include "common/rng.h"
+#include "core/conv_plan.h"
 #include "gpukern/tuning_cache.h"
 #include "nets/nets.h"
 
@@ -412,57 +415,6 @@ TEST(TuningCacheV3, X86CorruptHitIsEvictedAndResearched) {
   EXPECT_EQ(cache.hits(), 1);
 }
 
-TEST(TuningCacheV4, GraphEntriesRoundTripAndPartialSetIsAMiss) {
-  TuningCache a;
-  const u64 hash = 0x1234deadbeefull;
-  const std::vector<ArmBlocking> plan = {{128, 64, 256}, {64, 128, 512}};
-  a.put_graph(hash, plan);
-  EXPECT_EQ(a.graph_size(), 2u);
-
-  const std::string text = a.serialize();
-  EXPECT_EQ(text.rfind(kTuningCacheHeader, 0), 0u);
-  EXPECT_NE(text.find("graph 20018283527919 0 128 64 256\n"),
-            std::string::npos);
-
-  TuningCache b;
-  const StatusOr<int> n = b.deserialize(text);
-  ASSERT_TRUE(n.ok()) << n.status().to_string();
-  EXPECT_EQ(n.value(), 2);
-  const auto hit = b.lookup_graph(hash, 2);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, plan);
-  // All-or-nothing: asking for more layers than are stored is a miss, and
-  // a different hash never sees these rows.
-  EXPECT_FALSE(b.lookup_graph(hash, 3).has_value());
-  EXPECT_FALSE(b.lookup_graph(hash + 1, 2).has_value());
-}
-
-TEST(TuningCacheV4, GetOrSearchGraphSearchesOnceThenHits) {
-  TuningCache cache;
-  const std::vector<ArmBlocking> want = {{64, 64, 128}, {128, 32, 256}};
-  int searches = 0;
-  const auto search = [&] {
-    ++searches;
-    return want;
-  };
-  EXPECT_EQ(cache.get_or_search_graph(9, 2, search), want);
-  EXPECT_EQ(searches, 1);
-  EXPECT_EQ(cache.get_or_search_graph(9, 2, search), want);
-  EXPECT_EQ(searches, 1);
-  EXPECT_EQ(cache.hits(), 1);
-  // A wider net under the same hash is a partial set: re-search.
-  const std::vector<ArmBlocking> want3 = {{64, 64, 128}, {128, 32, 256},
-                                          {64, 128, 128}};
-  int searches3 = 0;
-  EXPECT_EQ(cache.get_or_search_graph(9, 3,
-                                      [&] {
-                                        ++searches3;
-                                        return want3;
-                                      }),
-            want3);
-  EXPECT_EQ(searches3, 1);
-}
-
 TEST(TuningCacheV4, ReadsV3HeadedFiles) {
   // A v3 file (GPU + ARM + x86 entries, no graph rows) still loads.
   TuningCache c;
@@ -511,27 +463,63 @@ TEST(TuningCacheV4, RejectsCorruptGraphLines) {
   }
 }
 
-TEST(TuningCacheV4, CorruptGraphRowEvictsTheWholePlan) {
+TEST(TuningCacheV5, LoadsV4FileSkippingGraphRows) {
+  // v4 files carried whole-net "graph" rows beside the per-shape ones; v5
+  // loads the per-shape rows, skips the graph rows and counts them.
+  TuningCache c;
+  const StatusOr<int> r = c.deserialize(
+      std::string(kTuningCacheHeaderV4) +
+      "\ngraph 20018283527919 0 128 64 256\narm 64 3136 576 4 0 128 64 256\n"
+      "graph 20018283527919 1 64 128 512\nx86 64 3136 576 4 0 8 256\n");
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), 2);
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.skipped_graph_rows(), 2);
+  EXPECT_EQ(c.lookup_arm({64, 3136, 576, 4, 0}), (ArmBlocking{128, 64, 256}));
+  EXPECT_EQ(c.lookup_x86({64, 3136, 576, 4, 0}), (X86Blocking{8, 256}));
+
+  // Re-serialized, the file is v5 and carries no graph rows.
+  const std::string text = c.serialize();
+  EXPECT_EQ(text.rfind(kTuningCacheHeader, 0), 0u);
+  EXPECT_EQ(text.find("graph"), std::string::npos);
+}
+
+TEST(TuningCacheV5, TblRowsRoundTripWithoutResearch) {
+  // blocking_scheme_id gives TBL scheme 4; a cache holding a 2-bit TBL
+  // layer's row must load back and serve the re-plan without a search.
+  ConvShape s;
+  s.name = "tbl-roundtrip";
+  s.batch = 1;
+  s.in_c = 64;
+  s.in_h = 14;
+  s.in_w = 14;
+  s.out_c = 64;
+  s.kernel = 3;
+  s.stride = 1;
+  s.pad = 1;
+  const Tensor<i8> w =
+      random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 2, 11);
+
   TuningCache cache;
-  const std::vector<ArmBlocking> want = {{128, 64, 256}, {64, 64, 128}};
-  int searches = 0;
-  const auto search = [&] {
-    ++searches;
-    return want;
-  };
-  EXPECT_EQ(cache.get_or_search_graph(7, 2, search), want);
-  EXPECT_EQ(searches, 1);
+  ASSERT_TRUE(core::plan_arm_conv(s, w, 2, core::ArmImpl::kTblLut,
+                                  armkern::ConvAlgo::kGemm, 1, false, &cache)
+                  .ok());
+  ASSERT_EQ(cache.arm_size(), 1u);
+  const std::string text = cache.serialize();
+  EXPECT_NE(text.find("arm 64 196 576 2 4 "), std::string::npos) << text;
 
-  // Poison the next hit: one bad row must evict and re-search the WHOLE
-  // plan (a joint plan is only usable complete).
-  ScopedFault fault(FaultSite::kTuningCacheCorrupt, /*fire_count=*/1);
-  EXPECT_EQ(cache.get_or_search_graph(7, 2, search), want);
-  EXPECT_EQ(searches, 2);
-  EXPECT_GE(cache.corrupt_evictions(), 1);
+  TuningCache shipped;
+  const StatusOr<int> n = shipped.deserialize(text);
+  ASSERT_TRUE(n.ok()) << n.status().to_string();
+  EXPECT_EQ(n.value(), 1);
 
-  // Healed rows serve clean hits afterwards.
-  EXPECT_EQ(cache.get_or_search_graph(7, 2, search), want);
-  EXPECT_EQ(searches, 2);
+  const i64 searches = armkern::tile_search_stats().searches;
+  ASSERT_TRUE(core::plan_arm_conv(s, w, 2, core::ArmImpl::kTblLut,
+                                  armkern::ConvAlgo::kGemm, 1, false, &shipped)
+                  .ok());
+  EXPECT_EQ(armkern::tile_search_stats().searches, searches);
+  EXPECT_EQ(shipped.hits(), 1);
+  EXPECT_EQ(shipped.misses(), 0);
 }
 
 }  // namespace
