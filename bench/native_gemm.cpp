@@ -10,17 +10,27 @@
 //                 kernels (hal::force_cpu_features), the in-process
 //                 calibration reference.
 //
-// The regression gate works in calibrated units so it tracks vectorization
-// quality, not machine speed: norm = avx2_ns / scalar_ns per row (both
-// measured back-to-back on the same box), and the committed
-// BENCH_native.json carries native_norm_total = sum(norm). The gate fails
-// when a fresh run's total exceeds 1.25x the baseline — generous headroom
-// because wall-clock on a busy 1-core CI box is noisy, while a real
-// vectorization regression (e.g. the LUT kernel silently falling to
-// scalar) moves the ratio by ~5-10x. Refresh deliberately with:
+// Two gates, both in calibrated units so they track kernel quality, not
+// machine speed:
+//
+//   * Vectorization: norm = avx2_ns / scalar_ns per row (both measured
+//     back-to-back on the same box), and the committed BENCH_native.json
+//     carries native_norm_total = sum(norm). The gate fails when a fresh
+//     run's total exceeds 1.25x the baseline — generous headroom because
+//     wall-clock on a busy 1-core CI box is noisy, while a real
+//     vectorization regression (e.g. the LUT kernel silently falling to
+//     scalar) moves the ratio by ~5-10x. Runs with LBC_BENCH_BASELINE.
+//   * The paper's premise: on every ResNet-50 layer, lut2_over_dot8 = the
+//     2-bit LUT conv's wall time over the 8-bit DOT conv's (pack + GEMM,
+//     as the model runs them), the median of kPremisePairs interleaved
+//     pairs with the min-max spread recorded. Fails if 2-bit is slower
+//     than 8-bit on any layer. Runs whenever AVX2 is present.
+//
+// Refresh the baseline deliberately with:
 //   LBC_BENCH_JSON=bench/baselines/BENCH_native.json build/bench/native_gemm
-// On a machine without AVX2 the bench reports scalar-only and the gate is
-// skipped (there is no ratio to compare).
+// On a machine without AVX2 the bench reports scalar-only and both gates
+// are skipped (there is no vector kernel to compare).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -60,8 +70,101 @@ StatusOr<core::ArmLayerResult> run_native_best(const core::ConvPlan& plan,
   return best;
 }
 
+/// One layer of the premise gate: median wall times of the 2-bit and
+/// 8-bit convs and the median per-pair ratio with its min-max spread.
+struct PremiseRecord {
+  std::string layer;
+  double lut2_us = 0, dot8_us = 0;
+  double ratio = 0, ratio_min = 0, ratio_max = 0;
+};
+
+/// Interleaved pairs per layer; odd so the median is one measured pair.
+constexpr int kPremisePairs = 9;
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Time the 2-bit and 8-bit native plans of one layer back to back,
+/// alternating which runs first, kPremisePairs times after one warm-up
+/// each. Host noise hits both halves of a pair alike, so the per-pair
+/// ratio is steadier than either time.
+PremiseRecord premise_layer(const ConvShape& s) {
+  struct Side {
+    core::ConvPlan plan;
+    Tensor<i8> in;
+  };
+  const auto side = [&s](int bits) {
+    const Tensor<i8> w = random_qtensor(
+        Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 31);
+    return Side{core::plan_native_conv(s, w, bits).value(),
+                random_qtensor(Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits,
+                               37)};
+  };
+  const Side lut2 = side(2), dot8 = side(8);
+  Workspace ws;
+  const auto run = [&ws](const Side& x) {
+    return core::execute_arm_conv(x.plan, x.in, ws).value().measured_ns;
+  };
+  run(lut2);
+  run(dot8);
+  std::vector<double> t2, t8, ratio;
+  for (int rep = 0; rep < kPremisePairs; ++rep) {
+    double a = 0, b = 0;
+    if (rep % 2 == 0) {
+      a = run(lut2);
+      b = run(dot8);
+    } else {
+      b = run(dot8);
+      a = run(lut2);
+    }
+    t2.push_back(a);
+    t8.push_back(b);
+    ratio.push_back(a / b);
+  }
+  PremiseRecord r;
+  r.layer = s.name;
+  r.lut2_us = median_of(t2) * 1e-3;
+  r.dot8_us = median_of(t8) * 1e-3;
+  r.ratio = median_of(ratio);
+  r.ratio_min = *std::min_element(ratio.begin(), ratio.end());
+  r.ratio_max = *std::max_element(ratio.begin(), ratio.end());
+  return r;
+}
+
+/// The premise section: every ResNet-50 layer, one row each. Returns the
+/// gate verdict (nonzero when 2-bit loses to 8-bit on any layer).
+int run_premise_section(std::vector<PremiseRecord>& out) {
+  std::printf("\n== premise: 2-bit LUT vs 8-bit DOT wall clock "
+              "(median of %d interleaved pairs) ==\n",
+              kPremisePairs);
+  std::printf("%-8s %11s %11s %15s %17s\n", "layer", "lut2 us", "dot8 us",
+              "lut2_over_dot8", "spread min-max");
+  int rc = 0;
+  for (const ConvShape& s : nets::resnet50_layers()) {
+    const PremiseRecord r = premise_layer(s);
+    std::printf("%-8s %11.2f %11.2f %15.3f %8.3f-%-8.3f\n", r.layer.c_str(),
+                r.lut2_us, r.dot8_us, r.ratio, r.ratio_min, r.ratio_max);
+    if (r.ratio > 1.0) {
+      std::fprintf(stderr,
+                   "premise gate FAIL: %s 2-bit LUT takes %.3fx the 8-bit "
+                   "DOT time (median of %d pairs)\n",
+                   r.layer.c_str(), r.ratio, kPremisePairs);
+      rc = 1;
+    }
+    out.push_back(r);
+  }
+  if (rc == 0)
+    std::fprintf(stderr, "premise gate PASS: 2-bit beats 8-bit on all %zu "
+                         "layers\n",
+                 out.size());
+  return rc;
+}
+
 bool write_native_json(const std::string& path,
                        const std::vector<NativeRecord>& records,
+                       const std::vector<PremiseRecord>& premise,
                        double norm_total) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -75,9 +178,13 @@ bool write_native_json(const std::string& path,
                "back-to-back in-process, so the gate tracks vectorization "
                "quality, not machine speed. Gate: native_norm_total <= "
                "1.25x baseline (wall-clock headroom; a real kernel "
-               "regression moves it 5-10x). Refresh: "
+               "regression moves it 5-10x). premise: lut2_over_dot8 = "
+               "2-bit LUT conv time / 8-bit DOT conv time per ResNet-50 "
+               "layer, median of %d interleaved pairs with the min-max "
+               "spread; gate: <= 1 on every layer. Refresh: "
                "LBC_BENCH_JSON=bench/baselines/BENCH_native.json "
-               "build/bench/native_gemm\",\n");
+               "build/bench/native_gemm\",\n",
+               kPremisePairs);
   std::fprintf(f, "  \"records\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const NativeRecord& r = records[i];
@@ -90,8 +197,22 @@ bool write_native_json(const std::string& path,
                  r.modeled_cycles, r.modeled_ms, r.avx2_us, r.scalar_us,
                  r.norm, i + 1 < records.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"totals\": {\"native_norm_total\": %.4f}\n}\n",
-               norm_total);
+  std::fprintf(f, "  ],\n  \"premise\": [\n");
+  double worst = 0;
+  for (size_t i = 0; i < premise.size(); ++i) {
+    const PremiseRecord& r = premise[i];
+    worst = std::max(worst, r.ratio);
+    std::fprintf(f,
+                 "    {\"layer\": \"%s\", \"lut2_us\": %.2f, "
+                 "\"dot8_us\": %.2f, \"lut2_over_dot8\": %.4f, "
+                 "\"min\": %.4f, \"max\": %.4f}%s\n",
+                 r.layer.c_str(), r.lut2_us, r.dot8_us, r.ratio, r.ratio_min,
+                 r.ratio_max, i + 1 < premise.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n  \"totals\": {\"native_norm_total\": %.4f, "
+               "\"lut2_over_dot8_max\": %.4f}\n}\n",
+               norm_total, worst);
   std::fclose(f);
   std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
                records.size());
@@ -273,12 +394,16 @@ int main() {
   std::printf("\nnative_norm_total (sum avx2/scalar): %.4f%s\n", norm_total,
               have_avx2 ? "" : "  [no AVX2: scalar only, gate skipped]");
 
+  int rc = 0;
+  std::vector<PremiseRecord> premise;
+  if (have_avx2) {
+    rc = run_tail_section();
+    if (run_premise_section(premise) != 0) rc = 1;
+  }
   const char* json_path = std::getenv("LBC_BENCH_JSON");
   if (json_path != nullptr && json_path[0] != '\0' &&
-      !write_native_json(json_path, records, norm_total))
+      !write_native_json(json_path, records, premise, norm_total))
     return 1;
-  int rc = 0;
-  if (have_avx2) rc = run_tail_section();
   const int gate_rc = run_norm_gate(norm_total, have_avx2);
   return rc != 0 ? rc : gate_rc;
 }

@@ -13,6 +13,7 @@
 // level flushes (far inside the 16-bit headroom; asserted below).
 #pragma once
 
+#include "common/pair_classes.h"
 #include "common/types.h"
 
 namespace lbc::armkern {
@@ -69,7 +70,9 @@ constexpr i64 kNr = 4;   // cols per B panel (one LD4R)
 // an i8 lane before the SSHLL/SADDW widen into the i32 tile). When the
 // INDEX side holds only ternary values {-1,0,1} (always true at 2 bit;
 // detected at pack time for 3-bit weights), TWO consecutive depth values
-// are folded into one pair-class index, so each TBL answers 32 MACs.
+// are folded into one pair-class index, so each TBL answers 32 MACs. The
+// pair classes, entry bounds, flush cadence and the table builder are
+// shared with the native 2-bit kernel (common/pair_classes.h).
 //
 // The scheme runs in one of two orientations, priced at plan time
 // (tile_search::choose_tbl_orientation):
@@ -98,19 +101,6 @@ constexpr int tbl_group_for(TblOrientation o, int bits, bool weights_ternary) {
 /// pair mode (vs 1 for the generic one-value-per-index form).
 constexpr int kTblPairGroup = 2;
 
-
-/// Ternary pair class of (v0, v1), both in {-1,0,1}:
-///   idx = (v0+1)*4 + (v1+1)  in {0,1,2, 4,5,6, 8,9,10}.
-/// idx % 4 == 3 and idx > 10 never occur; TBL's out-of-range zeroing makes
-/// the unused tail of the 16-entry table harmless by construction.
-constexpr u8 tbl_pair_index(i32 v0, i32 v1) {
-  return static_cast<u8>((v0 + 1) * 4 + (v1 + 1));
-}
-
-/// The (0,0) pair class: the neutral padding index. Its table entry is 0 in
-/// every table, so padded rows/cols and odd-K tails contribute nothing.
-constexpr u8 kTblNeutralPairIndex = tbl_pair_index(0, 0);
-
 /// Generic (non-ternary) single-value class: idx = v + qmax in [0, 2*qmax].
 /// The table entry at qmax (value 0) is 0 — the generic neutral index.
 constexpr u8 tbl_value_index(i32 v, int bits) {
@@ -122,46 +112,10 @@ constexpr u8 tbl_generic_neutral_index(int bits) {
   return static_cast<u8>(qmax_for_bits(bits));
 }
 
-/// Largest |entry| any TBL product table can hold for b-bit operands:
-/// ternary pair mode sums two {-1,0,1}-scaled operands (2*qmax), the
-/// generic form holds one full product (qmax^2).
-constexpr i32 tbl_entry_bound(int bits, bool ternary_pairs) {
-  const i32 q = qmax_for_bits(bits);
-  return ternary_pairs ? 2 * q : q * q;
-}
-
-/// ADD.16B accumulations of looked-up table entries into one fresh 8-bit
-/// lane between the sshll/saddw flushes into the 32-bit accumulators. Each
-/// add contributes one table entry, bounded by tbl_entry_bound above, so
-/// the interval is the byte lane's headroom divided by that bound — the
-/// same two-level accumulation trick the MLA scheme uses (Sec. 3.4), which
-/// keeps the TBL scheme's per-step ALU work at one shuffle plus one byte
-/// add instead of two widening adds.
-constexpr int tbl_flush_interval(int bits, bool ternary_pairs) {
-  return 127 / tbl_entry_bound(bits, ternary_pairs);
-}
-
-// Index ranges stay inside the single-register TBL's 16-entry window.
-static_assert(tbl_pair_index(1, 1) == 10);
-static_assert(kTblNeutralPairIndex == 5);
+// Generic indices stay inside the single-register TBL's 16-entry window
+// (pair-class bounds live with the shared definitions in
+// common/pair_classes.h).
 static_assert(tbl_value_index(3, 3) == 6);   // widest generic range (3-bit)
-static_assert(tbl_pair_index(1, 1) < 16 && tbl_value_index(3, 3) < 16);
-// Table entries fit i8 and the flush interval fits 8-bit lane headroom for
-// every mode the scheme ships (2-3 bit, pair or generic).
-static_assert(tbl_entry_bound(2, true) == 2 && tbl_entry_bound(3, true) == 6);
-static_assert(tbl_entry_bound(3, false) == 9);
-static_assert(tbl_entry_bound(3, false) <= 127);
-static_assert(tbl_flush_interval(2, true) == 63);
-static_assert(tbl_flush_interval(3, true) == 21);
-static_assert(tbl_flush_interval(3, false) == 14);
-static_assert(tbl_flush_interval(2, true) * tbl_entry_bound(2, true) <= 127);
-static_assert(tbl_flush_interval(3, false) * tbl_entry_bound(3, false) <= 127);
-
-/// Build one 16-entry product table for broadcast operands (b0, b1) of the
-/// non-index side: in pair mode out[idx] = d0(idx)*b0 + d1(idx)*b1 over the
-/// decoded ternary pair (d0, d1); in generic mode out[idx] = (idx-qmax)*b0
-/// (b1 ignored). Invalid indices get 0. Shared by both pack orientations
-/// and the kernel prover's exhaustive table check.
-void tbl_build_table(int bits, bool ternary_pairs, i8 b0, i8 b1, i8 out[16]);
+static_assert(tbl_value_index(3, 3) < 16);
 
 }  // namespace lbc::armkern

@@ -5,6 +5,7 @@
 
 #include "armkern/blocking.h"
 #include "armkern/schemes.h"
+#include "common/pair_classes.h"
 #include "hal/native_gemm.h"
 
 namespace lbc::check {
@@ -20,7 +21,7 @@ i64 product_bound(const SchemeModel& m) {
   return static_cast<i64>(m.a_max_abs) * static_cast<i64>(m.b_max_abs);
 }
 
-void add(ProofResult& r, const char* name, bool holds,
+void add(ProofResult& r, const std::string& name, bool holds,
          const std::string& statement) {
   r.obligations.push_back(Obligation{name, statement, holds});
 }
@@ -124,41 +125,45 @@ void prove_traditional(ProofResult& r, const SchemeModel& m) {
   prove_i32_depth(r, m, "traditional.i32-depth-headroom");
 }
 
-void prove_tbl(ProofResult& r, const SchemeModel& m) {
+/// The 16-entry product-table argument shared by the ARM TBL scheme and
+/// the native 2-bit LUT kernel (common/pair_classes.h), with obligations
+/// named `<prefix>.*`: entries fit a signed byte, indices stay inside the
+/// table, the declared i8 cadence fits the lane and covers the kernel's
+/// compiled `cadence`, and the builder produces exactly the decoded
+/// products.
+void prove_product_tables(ProofResult& r, const SchemeModel& m,
+                          const std::string& prefix, i64 cadence) {
   const i32 q = qmax_for_bits(m.bits);
   // Largest |entry| a product table can hold: d0*b0 + d1*b1 over ternary
   // pairs (2*qmax), or one full product (qmax^2) in generic mode.
   const i64 entry =
       m.tbl_pair ? 2 * static_cast<i64>(m.b_max_abs)
                  : static_cast<i64>(m.a_max_abs) * m.b_max_abs;
-  add(r, "tbl.entry-fits-i8", entry <= kI8Max,
+  add(r, prefix + ".entry-fits-i8", entry <= kI8Max,
       ineq(entry, kI8Max,
            m.tbl_pair ? "2 * bmax (pair d0*b0 + d1*b1)" : "amax * bmax",
            "i8 table entry"));
-  // Every encoded index must land inside the single-register TBL's
+  // Every encoded index must land inside the single-register shuffle's
   // 16-entry window: pair classes top out at (1+1)*4 + (1+1) = 10, the
   // generic form at value + qmax = 2*qmax.
-  const i64 max_idx = m.tbl_pair ? armkern::tbl_pair_index(1, 1) : 2 * q;
-  add(r, "tbl.index-in-table", max_idx <= 15,
+  const i64 max_idx = m.tbl_pair ? tbl_pair_index(1, 1) : 2 * q;
+  add(r, prefix + ".index-in-table", max_idx <= 15,
       ineq(max_idx, 15, m.tbl_pair ? "pair index (1,1)" : "qmax + qmax",
            "16-entry table"));
-  // Two-level accumulation: ADD.16B folds one table entry per group step
-  // into a byte lane, so the declared i8 flush interval must both fit the
-  // lane (flush * entry <= 127) and cover the kernel's real cadence
-  // (tbl_flush_interval for this bits/pair mode).
-  add(r, "tbl.i8-lane-headroom",
+  // Two-level accumulation: one byte add folds one table entry per step
+  // into an i8 lane, so the declared flush interval must both fit the
+  // lane (flush * entry <= 127) and cover the kernel's real cadence.
+  add(r, prefix + ".i8-lane-headroom",
       m.acc8_flush > 0 && m.acc8_flush * entry <= kI8Max,
       ineq(m.acc8_flush * entry, kI8Max, "flush * entry bound",
            "i8 headroom"));
-  const int cadence = armkern::tbl_flush_interval(m.bits, m.tbl_pair);
-  add(r, "tbl.flush-covers-kernel", m.acc8_flush >= cadence,
+  add(r, prefix + ".flush-covers-kernel", m.acc8_flush >= cadence,
       ineq(cadence, m.acc8_flush, "kernel flush cadence", "declared flush"));
-  // The SADDW path has no range clamp after the table lookup, so the
-  // headroom bounds above only hold if the builder NEVER emits an entry
-  // outside them — including 0 at every invalid/neutral index, which is
-  // what makes padded rows, padded columns, and odd-K tails contribute
-  // nothing. Check the real shipping builder exhaustively: all (b0, b1)
-  // broadcast operands in range, all 16 indices.
+  // The widen has no range clamp after the lookup, so the headroom bounds
+  // above only hold if the builder NEVER emits an entry outside them —
+  // including 0 at every invalid/neutral index, which is what makes padded
+  // rows, padded columns, and odd-K tails contribute nothing. Check the
+  // builder exhaustively: all (b0, b1) operands in range, all 16 indices.
   if (m.tbl_build != nullptr) {
     bool exact = true;
     std::ostringstream detail;
@@ -182,45 +187,66 @@ void prove_tbl(ProofResult& r, const SchemeModel& m) {
           }
         }
       }
-    add(r, "tbl.table-entries-exact", exact,
+    add(r, prefix + ".table-entries-exact", exact,
         exact ? std::string("builder matches decoded ") +
                     (m.tbl_pair ? "pair" : "generic") +
                     " products for all operands and indices"
               : detail.str());
   }
+}
+
+void prove_tbl(ProofResult& r, const SchemeModel& m) {
+  prove_product_tables(r, m, "tbl", tbl_flush_interval(m.bits, m.tbl_pair));
   prove_operand_range(r, m, "tbl.operand-range-adjusted");
   prove_i32_depth(r, m, "tbl.i32-depth-headroom");
 }
 
 void prove_lut(ProofResult& r, const SchemeModel& m) {
   const i32 q = qmax_for_bits(m.bits);
-  const i64 p = product_bound(m);
-  // Every (w, a) product must fit the signed-byte pshufb table entry.
-  add(r, "lut.entry-fits-i8", p <= kI8Max,
-      ineq(p, kI8Max, "amax * wmax", "i8 table entry"));
-  // Table index = value + qmax must stay inside the 16-entry pshufb row
-  // for both operands (a indexes within a row, w selects the row).
-  add(r, "lut.index-in-table", 2 * q <= 15,
-      ineq(2 * q, 15, "qmax + qmax", "16-entry table"));
-  add(r, "lut.i16-lane-headroom",
-      m.acc16_flush > 0 && m.acc16_flush * p <= kI16Max,
-      ineq(m.acc16_flush * p, kI16Max, "flush * amax * wmax",
-           "i16 headroom"));
-  add(r, "lut.flush-covers-kernel", m.acc16_flush >= hal::kLutFlushInterval,
-      ineq(hal::kLutFlushInterval, m.acc16_flush, "kernel flush cadence",
-           "declared flush"));
-  // The N%32 tail stages zero activation bytes through the full-width
-  // kernel; a zero byte indexes column 0 + qmax — the w*0 entry — which
-  // must be 0 in EVERY weight row of the real shipping table.
-  if (m.pad_zero_tail) {
-    const i8* lut = hal::native_product_lut(m.bits);
-    bool zero_ok = m.a_max_abs <= q;  // pad index q only valid in-range
-    for (i32 w = -q; w <= q && zero_ok; ++w)
-      zero_ok = lut[static_cast<size_t>(w + q) * 16 + static_cast<size_t>(q)] == 0;
+  if (m.tbl_pair) {
+    // 2 bit: the ternary pair-class kernel runs the TBL scheme's table
+    // argument against its own compiled cadence, plus the pad entry the
+    // odd-K tails, padded rows and N % 32 columns rely on — checked on the
+    // real tables the kernel shuffles.
+    prove_product_tables(r, m, "lut", hal::kLutPairFlushInterval);
+    const i8* tables = hal::native_pair_tables();
+    bool neutral = true;
+    for (i64 id = 0; id < 9; ++id)
+      neutral = neutral && tables[id * 16 + kTblNeutralPairIndex] == 0;
     std::ostringstream os;
-    os << "table[w + " << q << "][0 + " << q << "] == w * 0 == 0 for all w in +-"
-       << q;
-    add(r, "lut.pad-zero-entry", zero_ok, os.str());
+    os << "table[id][" << static_cast<int>(kTblNeutralPairIndex)
+       << "] == 0 for all 9 pair tables";
+    add(r, "lut.pad-neutral-entry", neutral, os.str());
+  } else {
+    const i64 p = product_bound(m);
+    // Every (w, a) product must fit the signed-byte pshufb table entry.
+    add(r, "lut.entry-fits-i8", p <= kI8Max,
+        ineq(p, kI8Max, "amax * wmax", "i8 table entry"));
+    // Table index = value + qmax must stay inside the 16-entry pshufb row
+    // for both operands (a indexes within a row, w selects the row).
+    add(r, "lut.index-in-table", 2 * q <= 15,
+        ineq(2 * q, 15, "qmax + qmax", "16-entry table"));
+    add(r, "lut.i16-lane-headroom",
+        m.acc16_flush > 0 && m.acc16_flush * p <= kI16Max,
+        ineq(m.acc16_flush * p, kI16Max, "flush * amax * wmax",
+             "i16 headroom"));
+    add(r, "lut.flush-covers-kernel", m.acc16_flush >= hal::kLutFlushInterval,
+        ineq(hal::kLutFlushInterval, m.acc16_flush, "kernel flush cadence",
+             "declared flush"));
+    // The N%32 tail stages zero activation bytes through the full-width
+    // kernel; a zero byte indexes column 0 + qmax — the w*0 entry — which
+    // must be 0 in EVERY weight row of the real shipping table.
+    if (m.pad_zero_tail) {
+      const i8* lut = hal::native_product_lut(m.bits);
+      bool zero_ok = m.a_max_abs <= q;  // pad index q only valid in-range
+      for (i32 w = -q; w <= q && zero_ok; ++w)
+        zero_ok =
+            lut[static_cast<size_t>(w + q) * 16 + static_cast<size_t>(q)] == 0;
+      std::ostringstream os;
+      os << "table[w + " << q << "][0 + " << q
+         << "] == w * 0 == 0 for all w in +-" << q;
+      add(r, "lut.pad-zero-entry", zero_ok, os.str());
+    }
   }
   prove_operand_range(r, m, "lut.operand-range-adjusted");
   prove_i32_depth(r, m, "lut.i32-depth-headroom");
@@ -344,12 +370,20 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
       // Pair mode always ships at 2-bit; 3-bit runs generic unless the
       // pack detects ternary weights (prove_arm_kernel covers both).
       m.tbl_pair = bits == 2;
-      m.acc8_flush = armkern::tbl_flush_interval(bits, m.tbl_pair);
-      m.tbl_build = &armkern::tbl_build_table;
+      m.acc8_flush = tbl_flush_interval(bits, m.tbl_pair);
+      m.tbl_build = &tbl_build_table;
       break;
     case ProofScheme::kNativeLut:
-      m.acc16_flush = static_cast<int>(hal::kLutFlushInterval);
-      m.pad_zero_tail = true;
+      if (hal::native_lut_pairs(bits)) {
+        // The pair kernel reduces over the pair-padded depth.
+        m.depth = round_up(depth, 2);
+        m.tbl_pair = true;
+        m.acc8_flush = tbl_flush_interval(bits, /*ternary_pairs=*/true);
+        m.tbl_build = &tbl_build_table;
+      } else {
+        m.acc16_flush = static_cast<int>(hal::kLutFlushInterval);
+        m.pad_zero_tail = true;
+      }
       break;
     case ProofScheme::kArmSdot:
     case ProofScheme::kArmNcnn:
@@ -402,7 +436,7 @@ Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth) {
           prove(m).to_status().with_context("plan-time kernel proof"));
       if (!m.tbl_pair) {
         m.tbl_pair = true;
-        m.acc8_flush = armkern::tbl_flush_interval(bits, /*ternary_pairs=*/true);
+        m.acc8_flush = tbl_flush_interval(bits, /*ternary_pairs=*/true);
         LBC_RETURN_IF_ERROR(
             prove(m).to_status().with_context("plan-time kernel proof"));
       }
@@ -473,7 +507,7 @@ ProofSweepReport prove_all_schemes() {
         SchemeModel tp = shipping_model(g.scheme, g.bits_hi, sh.k);
         tp.tbl_pair = true;
         tp.acc8_flush =
-            armkern::tbl_flush_interval(g.bits_hi, /*ternary_pairs=*/true);
+            tbl_flush_interval(g.bits_hi, /*ternary_pairs=*/true);
         run(tp, arm_config(g.scheme, g.bits_hi, sh, false) + " ternary-pair");
       }
     }

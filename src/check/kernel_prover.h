@@ -7,8 +7,8 @@
 // kernel correct for the operands it saw. This module proves the argument
 // for ALL inputs, ahead of execution, from the scheme's declared facts
 // alone: operand ranges (the adjusted range [-(2^(b-1)-1), 2^(b-1)-1]),
-// flush cadences (KernelSpec / schemes.h on ARM, kLutFlushInterval on
-// x86), and the reduction depth. Each fact becomes a named *obligation* —
+// flush cadences (KernelSpec / schemes.h on ARM, kLutFlushInterval and
+// kLutPairFlushInterval on x86), and the reduction depth. Each fact becomes a named *obligation* —
 // a closed-form inequality with the numbers substituted — and a proof is
 // the conjunction of its obligations.
 //
@@ -25,7 +25,13 @@
 //    lane, every index stays inside the 16-entry window, i16 lanes hold
 //    through the declared flush, and the shipping table builder produces
 //    exactly the decoded pair/generic products (checked exhaustively).
-//  * AVX2 LUT (2-4 bit): products fit the signed-byte pshufb table, i16
+//  * AVX2 LUT, 2 bit: the ternary pair-class kernel runs the ARM TBL
+//    scheme's table argument under `lut.*` names — entries fit a signed
+//    byte, pair indices stay in the table, the declared i8 cadence fits
+//    the lane AND covers the kernel's compiled kLutPairFlushInterval, the
+//    shared builder is exact (exhaustively), and the neutral pad index
+//    reads 0 in all 9 real tables — over the pair-padded depth.
+//  * AVX2 LUT, 3-4 bit: products fit the signed-byte pshufb table, i16
 //    lanes cannot overflow before the 256-step flush, every table index
 //    stays in [0, 15], and the N%32 zero-pad tail always indexes the w*0
 //    entry (checked against the real native_product_lut table).
@@ -84,14 +90,16 @@ struct SchemeModel {
   int second_level_rounds = 0;
   /// Total reduction depth (GEMM K) the proof must cover.
   i64 depth = 0;
-  /// Native LUT: the N%32 tail is staged through a zero-padded block, so
-  /// the pad-entry obligation is in force.
+  /// Native LUT 3-4 bit: the N%32 tail is staged through a zero-padded
+  /// block, so the pad-entry obligation is in force.
   bool pad_zero_tail = false;
-  /// ARM TBL: ternary pair mode (two depth positions per index) vs the
-  /// generic one-value-per-index form. Changes the table-entry bound.
+  /// ARM TBL and native 2-bit LUT: ternary pair mode (two depth positions
+  /// per index) vs the generic one-value-per-index form. Changes the
+  /// table-entry bound.
   bool tbl_pair = false;
-  /// ARM TBL: the table builder under proof. shipping_model points it at
-  /// armkern::tbl_build_table so the exhaustive table-entries obligation
+  /// ARM TBL and native 2-bit LUT: the table builder under proof.
+  /// shipping_model points it at the shared tbl_build_table
+  /// (common/pair_classes.h) so the exhaustive table-entries obligation
   /// checks the REAL build path; mutation tests substitute a corrupted one.
   void (*tbl_build)(int bits, bool ternary_pairs, i8 b0, i8 b1,
                     i8 out[16]) = nullptr;
@@ -120,7 +128,8 @@ struct ProofResult {
 
 /// The shipping declaration for (scheme, bits) at reduction depth `depth`:
 /// adjusted operand ranges and the flush constants the kernels compile
-/// with (schemes.h / hal::kLutFlushInterval).
+/// with (schemes.h / common/pair_classes.h / hal::kLutFlushInterval). The
+/// native 2-bit LUT model rounds `depth` up to the pair-padded K.
 SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth);
 
 /// Discharge every obligation of `m`. All obligations are evaluated (no

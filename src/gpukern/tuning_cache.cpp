@@ -101,8 +101,9 @@ Status parse_entry(const std::string& line, const Format& fmt,
       LBC_RETURN_IF_ERROR(
           read_fields(ls, k.m, k.n, k.k, k.bits, k.scheme, b.rb, b.cb));
       LBC_RETURN_IF_ERROR(validate_gemm_key(k.m, k.n, k.k, k.bits));
-      LBC_VALIDATE(k.scheme == 0 || k.scheme == 1, kDataLoss,
-                   "native scheme " << k.scheme << " outside [0, 1]");
+      LBC_VALIDATE(k.scheme >= 0 && k.scheme <= kX86SchemeIdMax, kDataLoss,
+                   "native scheme " << k.scheme << " outside [0, "
+                                    << kX86SchemeIdMax << "]");
       LBC_RETURN_IF_ERROR(validate_x86_blocking(b));
       out.x86.emplace_back(k, b);
       return Status();

@@ -81,9 +81,15 @@ struct ArmBlocking {
   auto operator<=>(const ArmBlocking&) const = default;
 };
 
-/// Key of a native x86 entry. `scheme` is the native kernel scheme id
-/// (hal: 0 = LUT, 1 = DOT) — the winner depends on which packed layout
-/// the kernel streams, not just the GEMM view.
+/// Native kernel scheme ids (hal::native_scheme_id): 0 = LUT 3-4 bit,
+/// 1 = DOT, 2 = LUT 2-bit pair classes.
+inline constexpr int kX86SchemeIdMax = 2;
+
+/// Key of a native x86 entry. `scheme` is the native kernel scheme id in
+/// [0, kX86SchemeIdMax] — the winner depends on which packed layout the
+/// kernel streams, not just the GEMM view. A row whose id names another
+/// kernel than the one `bits` now runs never matches a lookup, so a
+/// blocking measured on a retired kernel is searched afresh.
 struct X86TuningKey {
   i64 m = 0, n = 0, k = 0;
   int bits = 8;

@@ -78,6 +78,10 @@ StatusOr<NativeConvResult> execute_native_conv(const NativeConvPlan& plan,
 
   const i64 m = sb.gemm_m(), n = sb.gemm_n(), k = sb.gemm_k();
   ws.reset();
+  // Size the arena exactly before carving it: growing it block by block
+  // would briefly hold the old blocks and a doubled new one at once, and a
+  // serving worker's arena is shared by models of different footprints.
+  ws.reserve(plan.workspace_bytes(batch));
   i8* pb = ws.alloc_n<i8>(native_packed_b_bytes(k, n, plan.bits));
   const i64 ohw = sb.out_h() * sb.out_w();
   NativeConvResult r;

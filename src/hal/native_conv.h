@@ -1,7 +1,7 @@
 // Native-host convolution: the plan/execute split of the emulated ARM
 // driver (armkern/conv_arm.h) served by the native GEMM. plan_native_conv
 // prepacks the weights in the scheme's layout and resolves the {rb, cb}
-// blocking (caller-provided — typically from TuningCache v3 — or a fresh
+// blocking (caller-provided — typically from the TuningCache — or a fresh
 // measured-ns search); execute_native_conv gathers the input straight into
 // the packed-B layout (fused im2col), multiplies, and scatters to NCHW,
 // reporting real wall-clock nanoseconds where the ARM path reports modeled

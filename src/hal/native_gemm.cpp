@@ -10,6 +10,7 @@
 #include <map>
 #include <mutex>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/workspace.h"
@@ -37,15 +38,19 @@ NativeScheme native_scheme_for(int bits) {
 }
 
 int native_scheme_id(int bits) {
+  if (native_lut_pairs(bits)) return 2;
   return native_scheme_for(bits) == NativeScheme::kLut ? 0 : 1;
 }
 
 NativeBlocking default_native_blocking(i64 m, i64 n, i64 k, int bits) {
-  // Size the B tile for a ~32KB L1d: the LUT kernel streams K x col_block
-  // activation bytes per tile, the DOT kernel col_block patches of K_pad.
-  const i64 depth = native_scheme_for(bits) == NativeScheme::kLut
-                        ? std::max<i64>(k, 1)
-                        : dot_k_pad(std::max<i64>(k, 1));
+  // Size the B tile for a ~32KB L1d: the LUT kernel streams K (2 bit:
+  // K/2 pair) bytes per column, the DOT kernel col_block patches of K_pad.
+  const i64 kk = std::max<i64>(k, 1);
+  i64 depth = dot_k_pad(kk);
+  if (native_lut_pairs(bits))
+    depth = ceil_div(kk, 2);
+  else if (native_scheme_for(bits) == NativeScheme::kLut)
+    depth = kk;
   i64 cb = (32 * 1024) / depth;
   cb = std::clamp<i64>(cb, 32, 512);
   NativeBlocking b{8, cb};
@@ -55,25 +60,36 @@ NativeBlocking default_native_blocking(i64 m, i64 n, i64 k, int bits) {
 }
 
 const i8* native_product_lut(int bits) {
-  // One signed-byte table per LUT bit width: row = weight index
-  // (value + qmax), column = activation index. 16-byte rows so each row is
-  // exactly one pshufb table; entries beyond 2*qmax are zero (an in-range
-  // activation never indexes them).
+  // One signed-byte table per 3-4 bit width: row = weight index
+  // (value + qmax), column = activation index. Each 16-byte row is the
+  // shared builder's generic table for that weight — exactly one pshufb
+  // table, zero beyond 2*qmax (an in-range activation never indexes it).
   static const auto tables = [] {
     // 15 rows x 16 cols covers the widest LUT width (4-bit, qmax 7).
-    std::array<std::array<i8, 15 * 16>, 3> t{};
-    for (int bits_i = 2; bits_i <= 4; ++bits_i) {
+    std::array<std::array<i8, 15 * 16>, 2> t{};
+    for (int bits_i = 3; bits_i <= 4; ++bits_i) {
       const i32 q = qmax_for_bits(bits_i);
-      auto& tab = t[static_cast<size_t>(bits_i - 2)];
-      tab.fill(0);
-      for (i32 wi = 0; wi <= 2 * q; ++wi)
-        for (i32 ai = 0; ai <= 2 * q; ++ai)
-          tab[static_cast<size_t>(wi * 16 + ai)] =
-              static_cast<i8>((wi - q) * (ai - q));
+      for (i32 w = -q; w <= q; ++w)
+        tbl_build_table(bits_i, /*ternary_pairs=*/false, static_cast<i8>(w),
+                        0, t[static_cast<size_t>(bits_i - 3)].data() +
+                               (w + q) * 16);
     }
     return t;
   }();
-  return tables[static_cast<size_t>(std::clamp(bits, 2, 4) - 2)].data();
+  return tables[static_cast<size_t>(std::clamp(bits, 3, 4) - 3)].data();
+}
+
+const i8* native_pair_tables() {
+  alignas(64) static const auto tables = [] {
+    std::array<i8, 9 * 16> t{};
+    for (i32 w0 = -1; w0 <= 1; ++w0)
+      for (i32 w1 = -1; w1 <= 1; ++w1)
+        tbl_build_table(2, /*ternary_pairs=*/true, static_cast<i8>(w0),
+                        static_cast<i8>(w1),
+                        t.data() + native_pair_table_offset(w0, w1));
+    return t;
+  }();
+  return tables.data();
 }
 
 StatusOr<NativePackedA> native_pack_a(const i8* a, i64 m, i64 k, int bits) {
@@ -88,49 +104,105 @@ StatusOr<NativePackedA> native_pack_a(const i8* a, i64 m, i64 k, int bits) {
   pa.scheme = native_scheme_for(bits);
   pa.m = m;
   pa.k = k;
-  if (pa.scheme == NativeScheme::kLut) {
-    // Table-row indices: value + qmax in [0, 2*qmax]. Out-of-range weights
-    // would index outside the product table, so packing is the validation
-    // boundary.
+  for (i64 i = 0; i < m * k; ++i)
+    LBC_VALIDATE(a[i] >= -q && a[i] <= q, kInvalidArgument,
+                 "native_pack_a: weight " << static_cast<i32>(a[i])
+                                          << " outside the adjusted " << bits
+                                          << "-bit range [" << -q << ", " << q
+                                          << "]");
+  if (native_lut_pairs(bits)) {
+    // One table offset per weight pair, 8-row blocks interleaved so a
+    // kernel step reads the offsets of all 8 rows from one 8-byte run.
+    // Padded rows and the odd-K tail use the all-zero (0, 0) table.
+    pa.k_pad = round_up(k, 2);
+    const i64 k2 = pa.k_pad / 2;
+    pa.data.assign(static_cast<size_t>(round_up(m, kLutPairRows) * k2),
+                   static_cast<i8>(native_pair_table_offset(0, 0)));
+    u8* offs = reinterpret_cast<u8*>(pa.data.data());
+    for (i64 i = 0; i < m; ++i) {
+      const i8* src = a + i * k;
+      u8* blk =
+          offs + (i / kLutPairRows) * k2 * kLutPairRows + i % kLutPairRows;
+      for (i64 t = 0; t < k2; ++t) {
+        const i32 w1 = 2 * t + 1 < k ? src[2 * t + 1] : 0;
+        blk[t * kLutPairRows] = native_pair_table_offset(src[2 * t], w1);
+      }
+    }
+  } else if (pa.scheme == NativeScheme::kLut) {
+    // Table-row indices: value + qmax in [0, 2*qmax].
     pa.k_pad = k;
     pa.data.assign(static_cast<size_t>(m * k), 0);
-    for (i64 i = 0; i < m * k; ++i) {
-      const i32 v = a[i];
-      LBC_VALIDATE(v >= -q && v <= q, kInvalidArgument,
-                   "native_pack_a: weight " << v << " outside the adjusted "
-                                            << bits << "-bit range [" << -q
-                                            << ", " << q << "]");
-      pa.data[static_cast<size_t>(i)] = static_cast<i8>(v + q);
-    }
+    for (i64 i = 0; i < m * k; ++i)
+      pa.data[static_cast<size_t>(i)] = static_cast<i8>(a[i] + q);
   } else {
     // Row-major with the depth zero-padded to one full vector register, so
     // the dot kernel never needs a scalar tail. Padded lanes multiply
     // against the (also zero-padded) B patches and add nothing.
     pa.k_pad = dot_k_pad(k);
     pa.data.assign(static_cast<size_t>(m * pa.k_pad), 0);
-    for (i64 i = 0; i < m; ++i) {
-      const i8* src = a + i * k;
-      for (i64 kk = 0; kk < k; ++kk) {
-        const i32 v = src[kk];
-        LBC_VALIDATE(v >= -q && v <= q, kInvalidArgument,
-                     "native_pack_a: weight " << v << " outside the adjusted "
-                                              << bits << "-bit range [" << -q
-                                              << ", " << q << "]");
-        pa.data[static_cast<size_t>(i * pa.k_pad + kk)] = static_cast<i8>(v);
-      }
-    }
+    for (i64 i = 0; i < m; ++i)
+      std::memcpy(pa.data.data() + i * pa.k_pad, a + i * k,
+                  static_cast<size_t>(k));
   }
   return pa;
 }
 
+namespace {
+
+/// Raw bytes of the scheme's B layout (before cache-line rounding).
+i64 packed_b_raw_bytes(i64 k, i64 n, int bits) {
+  if (native_lut_pairs(bits))
+    return round_up(n, kLutPanelCols) * ceil_div(k, 2);
+  return native_scheme_for(bits) == NativeScheme::kLut ? k * n
+                                                       : n * dot_k_pad(k);
+}
+
+/// Add the pair digits of `count` values src[j * stride] to out[j]: x4 for
+/// the pair's first depth, x1 for its second. Starting from the neutral
+/// index 5, both digits give tbl_pair_index in u8 arithmetic, so the two B
+/// packers agree byte for byte on any input. The constant multipliers and
+/// the stride-1 case are split out so the loops vectorize.
+void add_pair_digits(u8* out, const i8* src, i64 count, i64 stride,
+                     bool first) {
+  const auto run = [&](auto mul) {
+    if (stride == 1) {
+      for (i64 j = 0; j < count; ++j)
+        out[j] = static_cast<u8>(out[j] + static_cast<u8>(src[j]) * mul);
+    } else {
+      for (i64 j = 0; j < count; ++j)
+        out[j] =
+            static_cast<u8>(out[j] + static_cast<u8>(src[j * stride]) * mul);
+    }
+  };
+  if (first)
+    run(std::integral_constant<u8, 4>{});
+  else
+    run(std::integral_constant<u8, 1>{});
+}
+
+}  // namespace
+
 i64 native_packed_b_bytes(i64 k, i64 n, int bits) {
-  const i64 raw = native_scheme_for(bits) == NativeScheme::kLut
-                      ? k * n
-                      : n * dot_k_pad(k);
-  return round_up(std::max<i64>(raw, 1), static_cast<i64>(kCacheLineBytes));
+  return round_up(std::max<i64>(packed_b_raw_bytes(k, n, bits), 1),
+                  static_cast<i64>(kCacheLineBytes));
 }
 
 void native_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst) {
+  if (native_lut_pairs(bits)) {
+    // 32-column panels of ceil(K/2) pair-index rows; tails stay neutral.
+    const i64 k2 = ceil_div(k, 2);
+    u8* out = reinterpret_cast<u8*>(dst);
+    std::memset(out, kTblNeutralPairIndex,
+                static_cast<size_t>(packed_b_raw_bytes(k, n, bits)));
+    for (i64 j0 = 0; j0 < n; j0 += kLutPanelCols) {
+      const i64 w = std::min(kLutPanelCols, n - j0);
+      for (i64 kr = 0; kr < k; ++kr)
+        add_pair_digits(
+            out + (j0 / kLutPanelCols * k2 + kr / 2) * kLutPanelCols,
+            b + kr * n + j0, w, 1, (kr & 1) == 0);
+    }
+    return;
+  }
   if (native_scheme_for(bits) == NativeScheme::kLut) {
     // The LUT kernel consumes row-major K x N directly.
     std::memcpy(dst, b, static_cast<size_t>(k * n));
@@ -145,8 +217,66 @@ void native_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst) {
   }
 }
 
+namespace {
+
+/// 2-bit fused im2col pack into the pair panels, one pair row (depths 2t,
+/// 2t+1) at a time: each depth adds its pair digit to an N-long index row
+/// (contiguous input reads at stride 1), then the row scatters to the
+/// panels in 32-byte runs.
+void pack_pairs_from_conv(const ConvShape& s, const Tensor<i8>& input,
+                          u8* dst) {
+  const i64 k = s.gemm_k(), n = s.gemm_n(), k2 = ceil_div(k, 2);
+  const i64 oh = s.out_h(), ow = s.out_w();
+  const i64 hw = s.in_h * s.in_w;
+  const i64 chw = s.in_c * hw;
+  const i64 full = n / kLutPanelCols;  // panels every column of is live
+  // Only the last panel has columns no index row writes (N % 32).
+  if (full * kLutPanelCols < n)
+    std::memset(dst + full * k2 * kLutPanelCols, kTblNeutralPairIndex,
+                static_cast<size_t>(k2 * kLutPanelCols));
+  std::vector<u8> code(static_cast<size_t>(n));
+  for (i64 t = 0; t < k2; ++t) {
+    std::fill(code.begin(), code.end(), kTblNeutralPairIndex);
+    for (i64 kr = 2 * t; kr < std::min(k, 2 * t + 2); ++kr) {
+      const i64 c = kr / (s.kernel * s.kernel);
+      const i64 ky = kr / s.kernel % s.kernel, kx = kr % s.kernel;
+      // Output columns whose tap ox*stride - pad + kx lands in the row.
+      const i64 x0 = s.pad - kx;
+      const i64 ox_lo = x0 > 0 ? ceil_div(x0, s.stride) : 0;
+      const i64 ox_hi = std::min(
+          ow, s.in_w - 1 + x0 >= 0 ? (s.in_w - 1 + x0) / s.stride + 1 : 0);
+      if (ox_lo >= ox_hi) continue;
+      for (i64 img = 0; img < s.batch; ++img) {
+        for (i64 oy = 0; oy < oh; ++oy) {
+          const i64 iy = oy * s.stride - s.pad + ky;
+          if (iy < 0 || iy >= s.in_h) continue;
+          add_pair_digits(code.data() + (img * oh + oy) * ow + ox_lo,
+                          input.data() + img * chw + c * hw + iy * s.in_w +
+                              ox_lo * s.stride - x0,
+                          ox_hi - ox_lo, s.stride, (kr & 1) == 0);
+        }
+      }
+    }
+    u8* panel_row = dst + t * kLutPanelCols;
+    for (i64 p = 0; p < full; ++p)
+      std::memcpy(panel_row + p * k2 * kLutPanelCols,
+                  code.data() + p * kLutPanelCols,
+                  static_cast<size_t>(kLutPanelCols));
+    if (full * kLutPanelCols < n)
+      std::memcpy(panel_row + full * k2 * kLutPanelCols,
+                  code.data() + full * kLutPanelCols,
+                  static_cast<size_t>(n - full * kLutPanelCols));
+  }
+}
+
+}  // namespace
+
 void native_pack_b_from_conv(const ConvShape& s, const Tensor<i8>& input,
                              int bits, i8* dst) {
+  if (native_lut_pairs(bits)) {
+    pack_pairs_from_conv(s, input, reinterpret_cast<u8*>(dst));
+    return;
+  }
   const i64 k = s.gemm_k();
   const i64 n = s.gemm_n();
   const i64 oh = s.out_h(), ow = s.out_w();
@@ -183,8 +313,53 @@ void native_pack_b_from_conv(const ConvShape& s, const Tensor<i8>& input,
 
 // ---- scalar kernels ---------------------------------------------------
 
+namespace {
+
+/// 2-bit pair-class kernel over the panel layouts, in the AVX2 kernel's
+/// loop order; accumulates straight into i32 (no narrow lanes to flush).
+void scalar_lut_pairs(const NativePackedA& pa, const i8* pb, i32* c, i64 n,
+                      const NativeBlocking& blocking) {
+  const i64 k2 = pa.k_pad / 2;
+  const i64 panels = ceil_div(n, kLutPanelCols);
+  const i64 blocks = ceil_div(pa.m, kLutPairRows);
+  const i64 tile_blocks = ceil_div(std::max<i64>(blocking.rb, 1), kLutPairRows);
+  const i64 tile_panels = ceil_div(std::max<i64>(blocking.cb, 1), kLutPanelCols);
+  const i8* tables = native_pair_tables();
+  for (i64 p0 = 0; p0 < panels; p0 += tile_panels) {
+    for (i64 b0 = 0; b0 < blocks; b0 += tile_blocks) {
+      for (i64 p = p0; p < std::min(panels, p0 + tile_panels); ++p) {
+        const u8* panel =
+            reinterpret_cast<const u8*>(pb) + p * k2 * kLutPanelCols;
+        const i64 j0 = p * kLutPanelCols;
+        const i64 w = std::min(kLutPanelCols, n - j0);
+        for (i64 blk = b0; blk < std::min(blocks, b0 + tile_blocks); ++blk) {
+          const u8* offs = pa.pair_block(blk);
+          const i64 rows = std::min(kLutPairRows, pa.m - blk * kLutPairRows);
+          for (i64 r = 0; r < rows; ++r) {
+            i32* crow = c + (blk * kLutPairRows + r) * n + j0;
+            for (i64 l = 0; l < w; ++l) crow[l] = 0;
+            for (i64 t = 0; t < k2; ++t) {
+              const i8* tab = tables + offs[t * kLutPairRows + r];
+              const u8* idx = panel + t * kLutPanelCols;
+              // pshufb semantics: bit 7 zeroes the lane, else low nibble.
+              for (i64 l = 0; l < w; ++l)
+                crow[l] += (idx[l] & 0x80u) != 0 ? 0 : tab[idx[l] & 0x0Fu];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void native_gemm_scalar_lut(const NativePackedA& pa, const i8* b, i32* c,
                             i64 n, const NativeBlocking& blocking) {
+  if (native_lut_pairs(pa.bits)) {
+    scalar_lut_pairs(pa, b, c, n, blocking);
+    return;
+  }
   const i64 m = pa.m, k = pa.k;
   const i8* lut = native_product_lut(pa.bits);
   const i32 q = qmax_for_bits(pa.bits);
@@ -344,7 +519,14 @@ NativeBlocking search_native_blocking(i64 m, i64 n, i64 k, int bits) {
   for (const i64 rb : {2LL, 8LL, 32LL})
     for (const i64 cb : {64LL, 256LL, 1024LL})
       cands.push_back(NativeBlocking{rb, cb});
-  for (NativeBlocking& b : cands) b = clamp_blocking(b, m, probe_n);
+  for (NativeBlocking& b : cands) {
+    // The pair kernel tiles whole 8-row blocks and 32-column panels, so
+    // candidates that round to the same tiling are measured once.
+    if (native_lut_pairs(bits))
+      b = NativeBlocking{round_up(b.rb, kLutPairRows),
+                         round_up(b.cb, kLutPanelCols)};
+    b = clamp_blocking(b, m, probe_n);
+  }
   std::sort(cands.begin(), cands.end(),
             [](const NativeBlocking& a, const NativeBlocking& b) {
               return std::tie(a.rb, a.cb) < std::tie(b.rb, b.cb);

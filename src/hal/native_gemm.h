@@ -5,13 +5,18 @@
 // Two instruction schemes, dispatched by bit width (the same split the
 // paper makes between the MLA and SMLAL schemes on ARM):
 //
-//  * LUT scheme (2-4 bit) — DeepGEMM-style product lookup: every (weight,
-//    activation) product of a b-bit pair fits a 16-entry signed-byte
-//    table, so one `pshufb` yields 32 products at once. Weights prepack to
-//    table-row indices; activations index the row. Products accumulate in
-//    16-bit lanes and flush to 32-bit on the same overflow-safety argument
-//    as the ARM schemes (flush interval floor(32767 / qmax^2), far above
-//    the block sizes used).
+//  * LUT scheme (2-4 bit) — DeepGEMM-style product lookup: one `pshufb`
+//    answers 32 lookups into a 16-entry signed-byte table.
+//    - 2 bit runs the ternary pair-class form of the ARM TBL scheme
+//      (common/pair_classes.h, DESIGN.md Sec. 16): every activation byte
+//      is a pair index over two depths, every weight pair selects one of
+//      9 tables with entries w0*d0 + w1*d1 in [-2, 2], so one pshufb is
+//      64 MACs. Entries accumulate in i8 lanes (one `paddb` per shuffle)
+//      and widen into an i32 tile every kLutPairFlushInterval = 63 steps
+//      (63 * 2 <= 127) — the two-level accumulation of paper Sec. 3.4.
+//    - 3-4 bit index one product table row per weight value; products
+//      accumulate in i16 lanes and flush to i32 every kLutFlushInterval
+//      steps (256 * qmax^2 <= 32767).
 //  * DOT scheme (5-8 bit) — maddubs-style dp accumulation: the ggml sign
 //    trick (|a| as unsigned times sign(a)-adjusted b) keeps every
 //    `pmaddubsw` pair sum within int16, then `pmaddwd` folds to 32-bit —
@@ -21,24 +26,36 @@
 // packed layouts, selected automatically when AVX2 is absent or disabled
 // (LBC_HAL_DISABLE=avx2) — results are bit-exact across AVX2 / scalar /
 // the emulated ARM kernels / the reference GEMM, which the cross-backend
-// sweep in tests/test_hal_backend.cpp enforces.
+// sweep in tests/test_hal_backend.cpp enforces. check::prove_native_scheme
+// proves the overflow argument of each scheme at plan time.
 //
 // Layouts (chosen per scheme at prepack time, consumed by both kernels):
-//  * LUT:  A packs to row-major u8 table indices (value + qmax), B stays
-//          row-major K x N (the kernel vectorizes across 32 columns).
+//  * LUT 2 bit (pair classes):
+//    - A packs to one pair-class table per two depths, stored as the
+//      table's byte offset (native_pair_table_offset = id * 16, id 0..8),
+//      K padded to even and M to kLutPairRows. Rows interleave in blocks
+//      of 8: byte [(blk * K/2 + t) * 8 + r] is row blk*8+r's pair t.
+//      Padded rows and the odd-K tail use the (0, 0) table, all zeros.
+//    - B packs to 32-column panels of ceil(K/2) x 32 pair indices
+//      (tbl_pair_index of depths 2t and 2t+1). Odd-K tails and the N % 32
+//      columns hold the neutral index 5, which reads 0 in every table.
+//  * LUT 3-4 bit: A packs to row-major u8 table indices (value + qmax), B
+//    stays row-major K x N (the kernel vectorizes across 32 columns).
 //  * DOT:  A packs to row-major i8 with K zero-padded to 32, B packs to
 //          column-panel (N x K_pad) patches so each dot product streams
 //          two contiguous 32-byte runs.
 //
 // Blocking: {row_block, col_block} loop tiles over M and N (the
-// gemm-config.h row/col-blocking idiom; see DESIGN.md §13). The winner per
-// (GEMM view, bits) comes from search_native_blocking — candidates priced
-// by *measured nanoseconds*, not modeled cycles — and persists in
-// TuningCache v3 under the "x86" backend key.
+// gemm-config.h row/col-blocking idiom; see DESIGN.md §13); the 2-bit
+// kernel rounds them up to whole 8-row blocks and 32-column panels. The
+// winner per (GEMM view, scheme) comes from search_native_blocking —
+// candidates priced by *measured nanoseconds*, not modeled cycles — and
+// persists in TuningCache v5 under the "x86" backend key.
 #pragma once
 
 #include "common/align.h"
 #include "common/conv_shape.h"
+#include "common/pair_classes.h"
 #include "common/status.h"
 #include "common/tensor.h"
 #include "common/types.h"
@@ -56,15 +73,43 @@ enum class NativeScheme { kLut, kDot };
 /// table), DOT for 5-8 bit.
 NativeScheme native_scheme_for(int bits);
 
-/// Stable scheme id for the persistent tuning cache ("x86" rows):
-/// 0 = LUT, 1 = DOT.
+/// Whether the LUT scheme runs its ternary pair-class form (2 bit).
+constexpr bool native_lut_pairs(int bits) { return bits == 2; }
+
+/// Stable id of the kernel + layout pair for the persistent tuning cache
+/// ("x86" rows): 0 = LUT 3-4 bit, 1 = DOT, 2 = LUT 2-bit pair classes. A
+/// blocking measured on one kernel is never replayed onto another.
 int native_scheme_id(int bits);
 
-/// LUT-scheme 16-bit flush cadence: i16 lanes absorb this many products
-/// before the kernel widens to 32-bit. Shared between the AVX2 kernel and
-/// the symbolic prover (check/kernel_prover.h), which proves
-/// kLutFlushInterval * qmax(bits)^2 <= 32767 for every LUT width.
+/// LUT-scheme 16-bit flush cadence (3-4 bit): i16 lanes absorb this many
+/// products before the kernel widens to 32-bit. Shared between the AVX2
+/// kernel and the symbolic prover (check/kernel_prover.h), which proves
+/// kLutFlushInterval * qmax(bits)^2 <= 32767 for every such width.
 constexpr i64 kLutFlushInterval = 256;
+
+/// 2-bit pair-class cadence: i8 lanes absorb this many table entries
+/// (|entry| <= 2) before the kernel widens them into its i32 tile. The
+/// AVX2 kernel compiles with it; the prover checks it against the shared
+/// tbl_flush_interval / tbl_entry_bound declaration.
+constexpr i64 kLutPairFlushInterval = tbl_flush_interval(2, true);
+
+/// 2-bit register block: weight rows per block (one i8 accumulator each)
+/// and activation columns per panel (one 256-bit register of indices).
+constexpr i64 kLutPairRows = 8;
+constexpr i64 kLutPanelCols = 32;
+
+/// Table id of a 2-bit weight pair (w0, w1) in {-1,0,1}^2: (w0+1)*3 +
+/// (w1+1) in [0, 9). Id 4, the (0, 0) pair, is the all-zero pad table.
+constexpr u8 native_pair_table_id(i32 w0, i32 w1) {
+  return static_cast<u8>((w0 + 1) * 3 + (w1 + 1));
+}
+
+/// What the packed 2-bit A stores per weight pair: the table id scaled to
+/// the table's byte offset in native_pair_tables(), so the kernel's table
+/// load needs no address arithmetic. Fits a byte (8 * 16 = 128).
+constexpr u8 native_pair_table_offset(i32 w0, i32 w1) {
+  return static_cast<u8>(native_pair_table_id(w0, w1) * 16);
+}
 
 /// {row_block, col_block} loop tiling of the native GEMM. row_block tiles
 /// the M (weight-row) loop, col_block the N (output-pixel) loop; both in
@@ -86,13 +131,23 @@ struct NativePackedA {
   int bits = 8;
   NativeScheme scheme = NativeScheme::kDot;
   i64 m = 0, k = 0;
-  i64 k_pad = 0;  ///< k rounded up to 32 (kDot); == k for kLut
+  /// k rounded up to 32 (kDot) or to even (2-bit kLut); == k for 3-4 bit.
+  i64 k_pad = 0;
   /// kDot: row-major i8, m rows of k_pad (zero-padded) values.
-  /// kLut: row-major u8 table indices (weight value + qmax), m x k.
+  /// kLut 3-4 bit: row-major u8 table indices (weight value + qmax), m x k.
+  /// kLut 2 bit: pair table offsets in 8-row blocks, m padded to a whole
+  /// block (layout in the file header).
   AlignedVector<i8> data;
 
   i64 bytes() const { return static_cast<i64>(data.size()); }
+  /// Row i of the row-major layouts (kDot, 3-4 bit kLut).
   const i8* row(i64 i) const { return data.data() + i * k_pad; }
+  /// 8-row block `blk` of the 2-bit layout: k_pad/2 steps of 8 table
+  /// offsets.
+  const u8* pair_block(i64 blk) const {
+    return reinterpret_cast<const u8*>(data.data()) +
+           blk * (k_pad / 2) * kLutPairRows;
+  }
 };
 
 /// Pack an M x K row-major i8 weight matrix for the scheme of `bits`.
@@ -106,15 +161,16 @@ StatusOr<NativePackedA> native_pack_a(const i8* a, i64 m, i64 k, int bits);
 i64 native_packed_b_bytes(i64 k, i64 n, int bits);
 
 /// Pack a row-major K x N activation matrix into the scheme's B layout at
-/// `dst` (native_packed_b_bytes big). kLut copies rows verbatim; kDot
-/// transposes to column panels with K zero-padded to 32. Every destination
-/// byte is written.
+/// `dst` (native_packed_b_bytes big). 2-bit kLut encodes 32-column pair
+/// panels; 3-4 bit kLut copies rows verbatim; kDot transposes to column
+/// panels with K zero-padded to 32. Every byte of the layout is written.
 void native_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst);
 
 /// Fused im2col pack: gather the conv input straight into the scheme's B
-/// layout (kLut: the K x N im2col matrix; kDot: one K_pad patch per output
-/// pixel), zero-filling padding taps. Byte-identical to materializing
-/// im2col and calling native_pack_b.
+/// layout (2-bit kLut: the pair panels; 3-4 bit kLut: the K x N im2col
+/// matrix; kDot: one K_pad patch per output pixel), padding taps reading
+/// as value 0. Byte-identical to materializing im2col and calling
+/// native_pack_b.
 void native_pack_b_from_conv(const ConvShape& s, const Tensor<i8>& input,
                              int bits, i8* dst);
 
@@ -142,10 +198,11 @@ NativeGemmResult native_gemm_s8s32(const NativePackedA& pa, const i8* b,
 
 /// Measured-nanosecond blocking search: run each {rb, cb} candidate of a
 /// fixed grid against synthetic operands of the problem's shape and keep
-/// the fastest (best-of-3 reps per candidate, same discipline as the ARM
-/// tile search but priced by the wall clock). Memoized per (m, n, k,
-/// scheme); deterministic candidate order, measured winners — persist them
-/// through TuningCache v3 to amortize across process runs.
+/// the fastest (one warm-up rep, then the best of 2 per candidate; the
+/// same discipline as the ARM tile search but priced by the wall clock).
+/// Memoized per (m, n, k, native_scheme_id); deterministic candidate
+/// order, measured winners — persist them through TuningCache v5 to
+/// amortize across process runs.
 NativeBlocking search_native_blocking(i64 m, i64 n, i64 k, int bits);
 
 struct NativeSearchStats {
@@ -170,9 +227,14 @@ void native_gemm_avx2_lut(const NativePackedA& pa, const i8* b, i32* c,
 void native_gemm_avx2_dot(const NativePackedA& pa, const i8* pb, i32* c,
                           i64 n, const NativeBlocking& blocking);
 
-/// The signed product table for `bits`: row (weight index) x col
+/// The 3-4 bit signed product table for `bits`: row (weight index) x col
 /// (activation index), each padded to 16 entries so a row is exactly one
-/// pshufb table. Exposed for tests.
+/// pshufb table. Exposed for tests and the prover.
 const i8* native_product_lut(int bits);
+
+/// The 9 x 16 pair tables of the 2-bit kernel: table id
+/// native_pair_table_id(w0, w1) is tbl_build_table(2, true, w0, w1).
+/// Exposed for tests and the prover.
+const i8* native_pair_tables();
 
 }  // namespace lbc::hal

@@ -17,8 +17,9 @@ namespace lbc::hal {
 namespace {
 
 // The 16-bit flush cadence (kLutFlushInterval, native_gemm.h) is safe for
-// every LUT width: 256 * qmax(4)^2 = 12544 < 32767 — proved symbolically
-// per bit width by check::prove_all_schemes().
+// every 3-4 bit LUT width: 256 * qmax(4)^2 = 12544 < 32767, and the 2-bit
+// i8 cadence kLutPairFlushInterval * 2 = 126 <= 127 — both proved
+// symbolically per bit width by check::prove_all_schemes().
 
 i32 hsum_epi32(__m256i v) {
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
@@ -28,10 +29,115 @@ i32 hsum_epi32(__m256i v) {
   return _mm_cvtsi128_si32(s);
 }
 
+/// Widen the 32 i8 lanes of `acc` into 32 i32 lanes at `dst`: stored on
+/// the first flush of a block, added on every later one.
+void widen_i8(__m256i acc, i32* dst, bool first) {
+  const __m128i lo = _mm256_castsi256_si128(acc);
+  const __m128i hi = _mm256_extracti128_si256(acc, 1);
+  const __m128i parts[4] = {lo, _mm_srli_si128(lo, 8), hi,
+                            _mm_srli_si128(hi, 8)};
+  for (int q = 0; q < 4; ++q) {
+    __m256i* out = reinterpret_cast<__m256i*>(dst + 8 * q);
+    const __m256i w = _mm256_cvtepi8_epi32(parts[q]);
+    _mm256_storeu_si256(
+        out, first ? w : _mm256_add_epi32(_mm256_loadu_si256(out), w));
+  }
+}
+
+/// Steps [t0, t1) of one 2-bit register block: 8 weight rows (pair table
+/// offsets, 8 per step) against one 32-column panel of pair indices. Per
+/// step one index load feeds 8 shuffles, each answering 64 MACs into an i8
+/// accumulator. Kept out of line so the 8 accumulators stay in registers.
+__attribute__((noinline)) void lut_pairs_steps(const u8* offs,
+                                               const u8* panel, i64 t0,
+                                               i64 t1, const i8* tables,
+                                               __m256i acc[kLutPairRows]) {
+  static_assert(kLutPairRows == 8, "one named accumulator per row");
+  __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0, a4 = a0,
+          a5 = a0, a6 = a0, a7 = a0;
+  for (i64 t = t0; t < t1; ++t) {
+    const __m256i idx = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(panel + t * kLutPanelCols));
+    const u8* off = offs + t * kLutPairRows;
+    const auto lookup = [&](i64 r) {
+      return _mm256_shuffle_epi8(
+          _mm256_broadcastsi128_si256(_mm_load_si128(
+              reinterpret_cast<const __m128i*>(tables + off[r]))),
+          idx);
+    };
+    a0 = _mm256_add_epi8(lookup(0), a0);
+    a1 = _mm256_add_epi8(lookup(1), a1);
+    a2 = _mm256_add_epi8(lookup(2), a2);
+    a3 = _mm256_add_epi8(lookup(3), a3);
+    a4 = _mm256_add_epi8(lookup(4), a4);
+    a5 = _mm256_add_epi8(lookup(5), a5);
+    a6 = _mm256_add_epi8(lookup(6), a6);
+    a7 = _mm256_add_epi8(lookup(7), a7);
+  }
+  acc[0] = a0, acc[1] = a1, acc[2] = a2, acc[3] = a3;
+  acc[4] = a4, acc[5] = a5, acc[6] = a6, acc[7] = a7;
+}
+
+/// One 2-bit register block over the full depth into 8 rows x 32 i32
+/// columns at `out` (row stride `ldo`): the i8 accumulators widen into it
+/// every kLutPairFlushInterval steps, so it stays L1-resident.
+void lut_pairs_block(const u8* offs, const u8* panel, i64 k2,
+                     const i8* tables, i32* out, i64 ldo) {
+  alignas(32) __m256i acc[kLutPairRows];
+  for (i64 t0 = 0; t0 < k2; t0 += kLutPairFlushInterval) {
+    lut_pairs_steps(offs, panel, t0, std::min(k2, t0 + kLutPairFlushInterval),
+                    tables, acc);
+    for (i64 r = 0; r < kLutPairRows; ++r)
+      widen_i8(acc[r], out + r * ldo, t0 == 0);
+  }
+}
+
+/// 2-bit pair-class GEMM: {rb, cb} tile the 8-row blocks and 32-column
+/// panels. Whole blocks accumulate straight into C; a block that overhangs
+/// m or n goes through a local tile and stores only its live part.
+void lut_pairs(const NativePackedA& pa, const i8* pb, i32* c, i64 n,
+               const NativeBlocking& blocking) {
+  const i64 k2 = pa.k_pad / 2;
+  const i64 panels = ceil_div(n, kLutPanelCols);
+  const i64 blocks = ceil_div(pa.m, kLutPairRows);
+  const i64 tile_blocks = ceil_div(std::max<i64>(blocking.rb, 1), kLutPairRows);
+  const i64 tile_panels = ceil_div(std::max<i64>(blocking.cb, 1), kLutPanelCols);
+  const i8* tables = native_pair_tables();
+  alignas(32) i32 tile[kLutPairRows * kLutPanelCols];
+  for (i64 p0 = 0; p0 < panels; p0 += tile_panels) {
+    for (i64 b0 = 0; b0 < blocks; b0 += tile_blocks) {
+      for (i64 p = p0; p < std::min(panels, p0 + tile_panels); ++p) {
+        const u8* panel =
+            reinterpret_cast<const u8*>(pb) + p * k2 * kLutPanelCols;
+        const i64 j0 = p * kLutPanelCols;
+        const i64 w = std::min(kLutPanelCols, n - j0);
+        for (i64 blk = b0; blk < std::min(blocks, b0 + tile_blocks); ++blk) {
+          const i64 i0 = blk * kLutPairRows;
+          const i64 rows = std::min(kLutPairRows, pa.m - i0);
+          if (rows == kLutPairRows && w == kLutPanelCols) {
+            lut_pairs_block(pa.pair_block(blk), panel, k2, tables,
+                            c + i0 * n + j0, n);
+            continue;
+          }
+          lut_pairs_block(pa.pair_block(blk), panel, k2, tables, tile,
+                          kLutPanelCols);
+          for (i64 r = 0; r < rows; ++r)
+            std::memcpy(c + (i0 + r) * n + j0, tile + r * kLutPanelCols,
+                        static_cast<size_t>(w) * sizeof(i32));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void native_gemm_avx2_lut(const NativePackedA& pa, const i8* b, i32* c,
                           i64 n, const NativeBlocking& blocking) {
+  if (native_lut_pairs(pa.bits)) {
+    lut_pairs(pa, b, c, n, blocking);
+    return;
+  }
   const i64 m = pa.m, k = pa.k;
   const i8* lut = native_product_lut(pa.bits);
   const i32 q = qmax_for_bits(pa.bits);

@@ -85,6 +85,26 @@ TEST(Prover, LutPadZeroObligationCheckedAgainstRealTable) {
   EXPECT_TRUE(has_proved(r, "lut.pad-zero-entry"));
 }
 
+TEST(Prover, Lut2ProvesThePairClassKernel) {
+  // 2 bit proves what the pair-class kernel runs: the shared table
+  // argument against the compiled i8 cadence, the pad entry on the real
+  // tables, and depth headroom over the pair-padded K (147 -> 148).
+  const SchemeModel m = check::shipping_model(ProofScheme::kNativeLut, 2, 147);
+  EXPECT_TRUE(m.tbl_pair);
+  EXPECT_EQ(m.depth, 148);
+  EXPECT_EQ(m.acc8_flush, hal::kLutPairFlushInterval);
+  const ProofResult r = check::prove(m);
+  EXPECT_TRUE(r.proved()) << r.to_status().message();
+  for (const char* name :
+       {"lut.entry-fits-i8", "lut.index-in-table", "lut.i8-lane-headroom",
+        "lut.flush-covers-kernel", "lut.table-entries-exact",
+        "lut.pad-neutral-entry", "lut.i32-depth-headroom"})
+    EXPECT_TRUE(has_proved(r, name)) << name;
+  // The 3-4 bit kernel's i16 obligations do not describe this kernel.
+  EXPECT_FALSE(has_proved(r, "lut.i16-lane-headroom"));
+  EXPECT_FALSE(has_proved(r, "lut.pad-zero-entry"));
+}
+
 TEST(Prover, EmptyProofIsNotProved) {
   ProofResult r;
   EXPECT_FALSE(r.proved());
@@ -192,6 +212,42 @@ TEST(ProverMutation, OversizedLutProductFailsEntryFitsI8) {
   const ProofResult r = check::prove(m);
   EXPECT_FALSE(r.proved());
   EXPECT_TRUE(has_failed(r, "lut.entry-fits-i8"));
+}
+
+TEST(ProverMutation, Lut2WidenedCadenceFailsI8LaneHeadroom) {
+  // One step more per widen than the byte lane holds: 64 * 2 = 128 > 127.
+  SchemeModel m = check::shipping_model(ProofScheme::kNativeLut, 2, 576);
+  m.acc8_flush = static_cast<int>(hal::kLutPairFlushInterval) + 1;
+  const ProofResult r = check::prove(m);
+  EXPECT_FALSE(r.proved());
+  ASSERT_NE(r.first_failed(), nullptr);
+  EXPECT_EQ(r.first_failed()->name, "lut.i8-lane-headroom");
+}
+
+TEST(ProverMutation, Lut2ShrunkFlushFailsFlushCoversKernel) {
+  // Declared cadence below the kernel's compiled one: the headroom bound
+  // would describe a kernel that widens more often than the real one.
+  SchemeModel m = check::shipping_model(ProofScheme::kNativeLut, 2, 576);
+  m.acc8_flush = static_cast<int>(hal::kLutPairFlushInterval) - 1;
+  const ProofResult r = check::prove(m);
+  EXPECT_FALSE(r.proved());
+  ASSERT_NE(r.first_failed(), nullptr);
+  EXPECT_EQ(r.first_failed()->name, "lut.flush-covers-kernel");
+}
+
+void corrupted_pair_build(int bits, bool ternary_pairs, i8 b0, i8 b1,
+                          i8 out[16]) {
+  tbl_build_table(bits, ternary_pairs, b0, b1, out);
+  out[tbl_pair_index(1, -1)] = static_cast<i8>(out[tbl_pair_index(1, -1)] + 1);
+}
+
+TEST(ProverMutation, Lut2CorruptTableEntryFailsTableEntriesExact) {
+  SchemeModel m = check::shipping_model(ProofScheme::kNativeLut, 2, 576);
+  m.tbl_build = &corrupted_pair_build;
+  const ProofResult r = check::prove(m);
+  EXPECT_FALSE(r.proved());
+  ASSERT_NE(r.first_failed(), nullptr);
+  EXPECT_EQ(r.first_failed()->name, "lut.table-entries-exact");
 }
 
 TEST(ProverMutation, AbsurdDepthFailsI32Headroom) {

@@ -174,7 +174,26 @@ TEST(NativeGemm, SchemeSelectionAndPackValidation) {
 }
 
 TEST(NativeGemm, ProductLutMatchesArithmetic) {
-  for (int bits = 2; bits <= 4; ++bits) {
+  // 2 bit: the nine pair tables, exhaustively. Table (w0, w1) at pair
+  // index (a0, a1) holds w0*a0 + w1*a1; the indices no pair class uses —
+  // and the neutral index 5 in every table — read 0.
+  const i8* tables = native_pair_tables();
+  for (i32 w0 = -1; w0 <= 1; ++w0)
+    for (i32 w1 = -1; w1 <= 1; ++w1) {
+      ASSERT_EQ(native_pair_table_offset(w0, w1),
+                native_pair_table_id(w0, w1) * 16);
+      ASSERT_LT(native_pair_table_id(w0, w1), 9);
+      const i8* tab = tables + native_pair_table_offset(w0, w1);
+      i32 want[16] = {};
+      for (i32 a0 = -1; a0 <= 1; ++a0)
+        for (i32 a1 = -1; a1 <= 1; ++a1)
+          want[tbl_pair_index(a0, a1)] = w0 * a0 + w1 * a1;
+      for (int idx = 0; idx < 16; ++idx)
+        EXPECT_EQ(tab[idx], want[idx])
+            << "w0=" << w0 << " w1=" << w1 << " idx=" << idx;
+      EXPECT_EQ(tab[kTblNeutralPairIndex], 0);
+    }
+  for (int bits = 3; bits <= 4; ++bits) {
     const int q = (1 << (bits - 1)) - 1;
     const i8* lut = native_product_lut(bits);
     for (int w = -q; w <= q; ++w)
@@ -185,12 +204,16 @@ TEST(NativeGemm, ProductLutMatchesArithmetic) {
 }
 
 // Scalar and AVX2 kernels vs the reference GEMM on ragged shapes that
-// exercise row/col block tails and the K zero-padding.
+// exercise row/col block tails and the K zero-padding — for the 2-bit pair
+// kernel: odd K, m not a multiple of the 8-row block, and n % 32 != 0
+// (n = 49 and 196 are the late ResNet-50 views).
 TEST(NativeGemm, KernelsMatchReferenceAcrossBits) {
   struct Dims {
     i64 m, n, k;
   };
-  const Dims dims[] = {{1, 1, 1}, {3, 5, 7}, {16, 33, 31}, {20, 49, 100}};
+  const Dims dims[] = {{1, 1, 1},     {3, 5, 7},      {16, 33, 31},
+                       {20, 49, 100}, {13, 196, 75},  {9, 49, 147},
+                       {27, 196, 128}};
   for (const Dims& d : dims) {
     for (int bits = 2; bits <= 8; ++bits) {
       const Tensor<i8> a =
@@ -209,6 +232,7 @@ TEST(NativeGemm, KernelsMatchReferenceAcrossBits) {
 
       for (const NativeBlocking blocking :
            {NativeBlocking{1, 1}, NativeBlocking{8, 256},
+            NativeBlocking{24, 40},
             default_native_blocking(d.m, d.n, d.k, bits)}) {
         std::vector<i32> got(c_elems);
         {
@@ -237,9 +261,12 @@ TEST(NativeGemm, KernelsMatchReferenceAcrossBits) {
   }
 }
 
+// Covers all three B layouts: the 2-bit pair panels (stem5x5 has odd K,
+// block3x3 and pointwise have N % 32 != 0), the 3-4 bit K x N matrix and
+// the DOT patches.
 TEST(NativeGemm, FusedConvPackMatchesMaterializedIm2col) {
   for (const ConvShape& s : sweep_shapes()) {
-    for (const int bits : {2, 8}) {
+    for (const int bits : {2, 3, 8}) {
       const Tensor<i8> in = random_qtensor(
           Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 300 + bits);
       const i64 k = s.gemm_k(), n = s.gemm_n();
@@ -332,31 +359,56 @@ TEST(CrossBackend, NativeMatchesEmulatedAndReferenceAcrossBits) {
 }
 
 TEST(NativeConv, BatchedExecuteMatchesPerImage) {
+  // Batched execute folds images into GEMM N: at 2 bit an image's columns
+  // start mid-panel, so the pair panels straddle images.
   ConvShape s = sweep_shapes()[0];
-  const int bits = 4;
-  const Tensor<i8> w = random_qtensor(
-      Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 600);
-  const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);
-  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  for (const int bits : {2, 4}) {
+    const Tensor<i8> w = random_qtensor(
+        Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 600);
+    const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
 
-  const i64 batch = 3;
-  const Tensor<i8> in = random_qtensor(
-      Shape4{batch, s.in_c, s.in_h, s.in_w}, bits, 601);
+    const i64 batch = 3;
+    const Tensor<i8> in = random_qtensor(
+        Shape4{batch, s.in_c, s.in_h, s.in_w}, bits, 601);
+    Workspace ws;
+    const StatusOr<NativeConvResult> got = execute_native_conv(*plan, in, ws);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    ASSERT_EQ(got->out.shape().n, batch);
+
+    for (i64 img = 0; img < batch; ++img) {
+      Tensor<i8> one(Shape4{1, s.in_c, s.in_h, s.in_w});
+      std::memcpy(one.data(), in.data() + img * one.shape().elems(),
+                  static_cast<size_t>(one.shape().elems()));
+      const Tensor<i32> ref = ref::conv2d_s32(s, one, w);
+      EXPECT_EQ(std::memcmp(got->out.data() + img * ref.shape().elems(),
+                            ref.data(),
+                            static_cast<size_t>(ref.shape().elems()) * 4),
+                0)
+          << "bits " << bits << " img " << img;
+    }
+  }
+}
+
+TEST(NativeConv, ExecuteSizesWorkspaceExactlyWithoutGrowth) {
+  // A worker's arena is shared by models of different footprints (a 2-bit
+  // and an 8-bit conv in one server): each execute reserves exactly
+  // workspace_bytes(batch) up front instead of growing block by block.
+  const ConvShape s = sweep_shapes()[0];
   Workspace ws;
-  const StatusOr<NativeConvResult> got = execute_native_conv(*plan, in, ws);
-  ASSERT_TRUE(got.ok()) << got.status().to_string();
-  ASSERT_EQ(got->out.shape().n, batch);
-
-  for (i64 img = 0; img < batch; ++img) {
-    Tensor<i8> one(Shape4{1, s.in_c, s.in_h, s.in_w});
-    std::memcpy(one.data(), in.data() + img * one.shape().elems(),
-                static_cast<size_t>(one.shape().elems()));
-    const Tensor<i32> ref = ref::conv2d_s32(s, one, w);
-    EXPECT_EQ(std::memcmp(got->out.data() + img * ref.shape().elems(),
-                          ref.data(),
-                          static_cast<size_t>(ref.shape().elems()) * 4),
-              0)
-        << "img " << img;
+  for (const int bits : {2, 8}) {
+    const Tensor<i8> w = random_qtensor(
+        Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 650);
+    const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    for (const i64 batch : {i64{1}, i64{3}}) {
+      const Tensor<i8> in = random_qtensor(
+          Shape4{batch, s.in_c, s.in_h, s.in_w}, bits, 651);
+      ASSERT_TRUE(execute_native_conv(*plan, in, ws).ok());
+      EXPECT_EQ(ws.bytes_used(), plan->workspace_bytes(batch))
+          << "bits " << bits << " batch " << batch;
+      EXPECT_EQ(ws.grow_count(), 0) << "bits " << bits << " batch " << batch;
+    }
   }
 }
 
