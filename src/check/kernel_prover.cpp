@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "armkern/blocking.h"
 #include "armkern/schemes.h"
@@ -252,6 +253,70 @@ void prove_lut(ProofResult& r, const SchemeModel& m) {
   prove_i32_depth(r, m, "lut.i32-depth-headroom");
 }
 
+/// Pack a ragged A and B of nonzero operands (A through
+/// hal::native_pack_a, B through the model's packer) and decode both
+/// layouts (hal/native_gemm.h): every pad byte must be 0 and every live
+/// byte its operand. `detail` names the first bad byte.
+bool dot_pads_zero(const SchemeModel& m, std::string& detail) {
+  using hal::kDotDepthQuad;
+  using hal::kDotPanelCols;
+  using hal::kDotRows;
+  constexpr i64 rows = kDotRows + 1;
+  constexpr i64 depth = 2 * kDotDepthQuad + 3;
+  constexpr i64 cols = kDotPanelCols + 5;
+  const i64 k_pad = round_up(depth, kDotDepthQuad);
+  const i32 q = qmax_for_bits(m.bits);
+  std::vector<i8> a(static_cast<size_t>(rows * depth));
+  std::vector<i8> b(static_cast<size_t>(depth * cols));
+  for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<i8>(i % 2 ? q : -q);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<i8>(i % 2 ? -q : q);
+
+  // Decode packed byte `i` of a layout whose blocks hold `lanes` rows (A)
+  // or columns (B) of quads, and compare it with its operand or 0.
+  const auto verify = [&](const char* what, const i8* packed, i64 bytes,
+                          i64 lanes, i64 live_lanes, const auto& source) {
+    const i64 step = lanes * kDotDepthQuad;
+    for (i64 i = 0; i < bytes; ++i) {
+      const i64 in = i % (k_pad * lanes);
+      const i64 x = i / (k_pad * lanes) * lanes + in % step / kDotDepthQuad;
+      const i64 kk = in / step * kDotDepthQuad + in % kDotDepthQuad;
+      const bool pad = x >= live_lanes || kk >= depth;
+      const i8 want = pad ? i8{0} : source(x, kk);
+      if (packed[i] != want) {
+        std::ostringstream os;
+        os << what << (pad ? " pad" : " live") << " byte at (" << x << ", "
+           << kk << ") = " << static_cast<i32>(packed[i])
+           << " != " << static_cast<i32>(want);
+        detail = os.str();
+        return false;
+      }
+    }
+    return true;
+  };
+
+  const StatusOr<hal::NativePackedA> pa =
+      hal::native_pack_a(a.data(), rows, depth, m.bits);
+  const i64 a_bytes = round_up(rows, kDotRows) * k_pad;
+  if (!pa.ok() || pa->k_pad != k_pad || pa->bytes() != a_bytes) {
+    detail = "packed A is not kDotRows-row blocks of quad-padded depth";
+    return false;
+  }
+  const auto a_at = [&](i64 row, i64 kk) {
+    return a[static_cast<size_t>(row * depth + kk)];
+  };
+  if (!verify("A", pa->data.data(), a_bytes, kDotRows, rows, a_at))
+    return false;
+
+  std::vector<i8> pb(
+      static_cast<size_t>(hal::native_packed_b_bytes(depth, cols, m.bits)));
+  m.dot_pack_b(b.data(), depth, cols, m.bits, pb.data());
+  const auto b_at = [&](i64 col, i64 kk) {
+    return b[static_cast<size_t>(kk * cols + col)];
+  };
+  return verify("B", pb.data(), round_up(cols, kDotPanelCols) * k_pad,
+                kDotPanelCols, cols, b_at);
+}
+
 void prove_dot(ProofResult& r, const SchemeModel& m) {
   const i64 p = product_bound(m);
   // maddubs forms |a|*sign-adjusted-b pair sums in i16 WITH SATURATION;
@@ -261,10 +326,16 @@ void prove_dot(ProofResult& r, const SchemeModel& m) {
   // (2 * 128 * 128 = 32768 saturates).
   add(r, "dot.pair-sum-no-saturate", 2 * p <= kI16Max,
       ineq(2 * p, kI16Max, "2 * amax * wmax", "i16 pair sum, no saturate"));
-  // K zero-pads to 32 for the dot layout; pad lanes carry a = 0, so
-  // |a| * anything contributes 0 regardless of the b byte.
-  add(r, "dot.zero-pad-neutral", true,
-      "pad lanes multiply |a| = 0: contribution is exactly 0");
+  // The kernel has no tails: padded rows, depths and columns run through
+  // the full register block like live ones, so every pad byte of both
+  // packed operands must be 0. Checked on a ragged pack (m % kDotRows,
+  // K % 4 and N % 8 all nonzero) of nonzero operands through the packers.
+  std::string detail;
+  const bool pads_zero = dot_pads_zero(m, detail);
+  add(r, "dot.zero-pad-neutral", pads_zero,
+      pads_zero ? "every pad row, depth and column byte of packed A and B "
+                  "is 0; live bytes hold their operand"
+                : detail);
   prove_operand_range(r, m, "dot.operand-range-adjusted");
   prove_i32_depth(r, m, "dot.i32-depth-headroom");
 }
@@ -385,9 +456,12 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
         m.pad_zero_tail = true;
       }
       break;
+    case ProofScheme::kNativeDot:
+      // The quad kernel reduces over the quad-padded depth.
+      m.depth = round_up(depth, hal::kDotDepthQuad);
+      break;
     case ProofScheme::kArmSdot:
     case ProofScheme::kArmNcnn:
-    case ProofScheme::kNativeDot:
     case ProofScheme::kNativeScalar:
       break;  // direct-i32 (or saturation-only) schemes: no flush declared
   }

@@ -37,7 +37,9 @@
 //    entry (checked against the real native_product_lut table).
 //  * AVX2 maddubs dot (5-8 bit): the sign-trick i16 pair sum cannot
 //    saturate given the adjusted -127..127 range (2*127*127 < 2^15 — the
-//    -128 exclusion), plus i32 depth headroom.
+//    -128 exclusion), every pad row, depth and column byte the shipping
+//    packers write is 0 (checked on a ragged pack), plus i32 depth
+//    headroom over the quad-padded depth.
 //  * Portable scalar fallbacks: direct-i32 accumulation depth headroom.
 //
 // Failed proofs reject the configuration at plan time
@@ -52,6 +54,7 @@
 #include "armkern/gemm_lowbit.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "hal/native_gemm.h"
 
 namespace lbc::check {
 
@@ -103,6 +106,11 @@ struct SchemeModel {
   /// checks the REAL build path; mutation tests substitute a corrupted one.
   void (*tbl_build)(int bits, bool ternary_pairs, i8 b0, i8 b1,
                     i8 out[16]) = nullptr;
+  /// Native DOT: the activation packer under proof, the REAL
+  /// hal::native_pack_b unless a mutation test substitutes a corrupted one
+  /// (A is always packed by hal::native_pack_a).
+  void (*dot_pack_b)(const i8* b, i64 k, i64 n, int bits,
+                     i8* dst) = &hal::native_pack_b;
 };
 
 /// One closed-form proof obligation: a named inequality with the model's
@@ -129,7 +137,8 @@ struct ProofResult {
 /// The shipping declaration for (scheme, bits) at reduction depth `depth`:
 /// adjusted operand ranges and the flush constants the kernels compile
 /// with (schemes.h / common/pair_classes.h / hal::kLutFlushInterval). The
-/// native 2-bit LUT model rounds `depth` up to the pair-padded K.
+/// native 2-bit LUT model rounds `depth` up to the pair-padded K, the
+/// native DOT model up to whole depth quads.
 SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth);
 
 /// Discharge every obligation of `m`. All obligations are evaluated (no

@@ -82,8 +82,9 @@ struct ArmBlocking {
 };
 
 /// Native kernel scheme ids (hal::native_scheme_id): 0 = LUT 3-4 bit,
-/// 1 = DOT, 2 = LUT 2-bit pair classes.
-inline constexpr int kX86SchemeIdMax = 2;
+/// 1 = retired DOT patch layout, 2 = LUT 2-bit pair classes, 3 = DOT on
+/// depth-quad panels.
+inline constexpr int kX86SchemeIdMax = 3;
 
 /// Key of a native x86 entry. `scheme` is the native kernel scheme id in
 /// [0, kX86SchemeIdMax] — the winner depends on which packed layout the

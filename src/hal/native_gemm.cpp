@@ -4,6 +4,10 @@
 
 #include "hal/native_gemm.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -11,10 +15,12 @@
 #include <mutex>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/workspace.h"
 #include "hal/cpu_features.h"
+#include "hal/panel_blocks.h"
 
 namespace lbc::hal {
 
@@ -27,9 +33,10 @@ double now_ns() {
           .count());
 }
 
-constexpr i64 kDotDepthAlign = 32;  ///< one 256-bit register of i8
+/// Bytes of one DOT panel step: kDotPanelCols columns x one depth quad.
+constexpr i64 kDotStepBytes = kDotPanelCols * kDotDepthQuad;
 
-i64 dot_k_pad(i64 k) { return round_up(k, kDotDepthAlign); }
+i64 dot_k_pad(i64 k) { return round_up(k, kDotDepthQuad); }
 
 }  // namespace
 
@@ -39,12 +46,19 @@ NativeScheme native_scheme_for(int bits) {
 
 int native_scheme_id(int bits) {
   if (native_lut_pairs(bits)) return 2;
-  return native_scheme_for(bits) == NativeScheme::kLut ? 0 : 1;
+  return native_scheme_for(bits) == NativeScheme::kLut ? 0 : 3;
+}
+
+NativeRegisterBlock native_register_block(int bits) {
+  if (native_lut_pairs(bits)) return {kLutPairRows, kLutPanelCols, 1};
+  if (native_scheme_for(bits) == NativeScheme::kDot)
+    return {kDotRows, kDotPanelCols, kDotPanels};
+  return {};
 }
 
 NativeBlocking default_native_blocking(i64 m, i64 n, i64 k, int bits) {
   // Size the B tile for a ~32KB L1d: the LUT kernel streams K (2 bit:
-  // K/2 pair) bytes per column, the DOT kernel col_block patches of K_pad.
+  // K/2 pair) bytes per column, the DOT kernel K_pad bytes per column.
   const i64 kk = std::max<i64>(k, 1);
   i64 depth = dot_k_pad(kk);
   if (native_lut_pairs(bits))
@@ -135,14 +149,18 @@ StatusOr<NativePackedA> native_pack_a(const i8* a, i64 m, i64 k, int bits) {
     for (i64 i = 0; i < m * k; ++i)
       pa.data[static_cast<size_t>(i)] = static_cast<i8>(a[i] + q);
   } else {
-    // Row-major with the depth zero-padded to one full vector register, so
-    // the dot kernel never needs a scalar tail. Padded lanes multiply
-    // against the (also zero-padded) B patches and add nothing.
+    // Depth quads in kDotRows-row blocks: a kernel step broadcasts each
+    // row's 4 weights from one 4-byte run. Padded rows and depths are 0,
+    // so they add nothing whatever the B byte they meet.
     pa.k_pad = dot_k_pad(k);
-    pa.data.assign(static_cast<size_t>(m * pa.k_pad), 0);
-    for (i64 i = 0; i < m; ++i)
-      std::memcpy(pa.data.data() + i * pa.k_pad, a + i * k,
-                  static_cast<size_t>(k));
+    pa.data.assign(static_cast<size_t>(round_up(m, kDotRows) * pa.k_pad), 0);
+    for (i64 i = 0; i < m; ++i) {
+      i8* blk = pa.data.data() + (i / kDotRows) * pa.k_pad * kDotRows +
+                i % kDotRows * kDotDepthQuad;
+      for (i64 kk = 0; kk < k; ++kk)
+        blk[kk / kDotDepthQuad * kDotRows * kDotDepthQuad +
+            kk % kDotDepthQuad] = a[i * k + kk];
+    }
   }
   return pa;
 }
@@ -153,8 +171,9 @@ namespace {
 i64 packed_b_raw_bytes(i64 k, i64 n, int bits) {
   if (native_lut_pairs(bits))
     return round_up(n, kLutPanelCols) * ceil_div(k, 2);
-  return native_scheme_for(bits) == NativeScheme::kLut ? k * n
-                                                       : n * dot_k_pad(k);
+  return native_scheme_for(bits) == NativeScheme::kLut
+             ? k * n
+             : round_up(n, kDotPanelCols) * dot_k_pad(k);
 }
 
 /// Add the pair digits of `count` values src[j * stride] to out[j]: x4 for
@@ -178,6 +197,73 @@ void add_pair_digits(u8* out, const i8* src, i64 count, i64 stride,
     run(std::integral_constant<u8, 4>{});
   else
     run(std::integral_constant<u8, 1>{});
+}
+
+/// Write columns [j0, j1) of one DOT depth quad into the panels: rows[d]
+/// holds depth d of the quad at index j - j0, `dst_q` is the quad's step
+/// in panel 0, and panel p's step sits kq steps further per panel. The
+/// vector body is a 4-way byte interleave (punpcklbw, then punpcklwd) of
+/// 16 columns into two panels' 32-byte steps; ragged ends go column by
+/// column.
+void interleave_quad(const i8* const rows[kDotDepthQuad], i64 j0, i64 j1,
+                     i64 kq, i8* dst_q) {
+  const i64 panel_bytes = kq * kDotStepBytes;
+  const auto step = [&](i64 j) {
+    return dst_q + j / kDotPanelCols * panel_bytes;
+  };
+  const auto column = [&](i64 j) {
+    i8* out = step(j) + j % kDotPanelCols * kDotDepthQuad;
+    for (i64 d = 0; d < kDotDepthQuad; ++d) out[d] = rows[d][j - j0];
+  };
+  i64 j = j0;
+  for (; j < j1 && j % kDotPanelCols != 0; ++j) column(j);
+#if defined(__SSE2__)
+  static_assert(kDotPanelCols == 8 && kDotDepthQuad == 4,
+                "the interleave writes 8 columns x 4 depths per step");
+  const auto load = [&](i64 d) {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(rows[d] + (j - j0)));
+  };
+  // Depth pairs (0,1) and (2,3) byte-interleaved, then the two word-
+  // interleaved: 4 bytes per column, 4 columns per 16-byte store.
+  const auto store = [](i8* out, __m128i d01, __m128i d23) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_unpacklo_epi16(d01, d23));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16),
+                     _mm_unpackhi_epi16(d01, d23));
+  };
+  for (; j + 2 * kDotPanelCols <= j1; j += 2 * kDotPanelCols) {
+    const __m128i r0 = load(0), r1 = load(1), r2 = load(2), r3 = load(3);
+    store(step(j), _mm_unpacklo_epi8(r0, r1), _mm_unpacklo_epi8(r2, r3));
+    store(step(j) + panel_bytes, _mm_unpackhi_epi8(r0, r1),
+          _mm_unpackhi_epi8(r2, r3));
+  }
+#endif
+  for (; j < j1; ++j) column(j);
+}
+
+/// DOT-pack columns [j0, j1) from a row-major source: depth kr of column j
+/// at src[kr * ld + j - j0], depths past k read from `zeros` (j1 - j0
+/// zero bytes).
+void pack_dot_rows(const i8* src, i64 ld, i64 k, i64 j0, i64 j1,
+                   const i8* zeros, i8* dst) {
+  const i64 kq = ceil_div(k, kDotDepthQuad);
+  for (i64 q = 0; q < kq; ++q) {
+    const i8* rows[kDotDepthQuad];
+    for (i64 d = 0; d < kDotDepthQuad; ++d) {
+      const i64 kr = q * kDotDepthQuad + d;
+      rows[d] = kr < k ? src + kr * ld : zeros;
+    }
+    interleave_quad(rows, j0, j1, kq, dst + q * kDotStepBytes);
+  }
+}
+
+/// Zero the last DOT panel when N % 8 columns leave part of it unwritten.
+void clear_dot_tail_panel(i64 k, i64 n, i8* dst) {
+  if (n % kDotPanelCols == 0) return;
+  const i64 panel_bytes = ceil_div(k, kDotDepthQuad) * kDotStepBytes;
+  std::memset(dst + n / kDotPanelCols * panel_bytes, 0,
+              static_cast<size_t>(panel_bytes));
 }
 
 }  // namespace
@@ -208,16 +294,52 @@ void native_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst) {
     std::memcpy(dst, b, static_cast<size_t>(k * n));
     return;
   }
-  // DOT: transpose to one contiguous K_pad-deep patch per output column.
-  const i64 kp = dot_k_pad(k);
-  std::memset(dst, 0, static_cast<size_t>(n * kp));
-  for (i64 j = 0; j < n; ++j) {
-    i8* out = dst + j * kp;
-    for (i64 kk = 0; kk < k; ++kk) out[kk] = b[kk * n + j];
-  }
+  clear_dot_tail_panel(k, n, dst);
+  const std::vector<i8> zeros(static_cast<size_t>(k % kDotDepthQuad ? n : 0));
+  pack_dot_rows(b, n, k, 0, n, zeros.data(), dst);
 }
 
 namespace {
+
+/// The outputs [lo, hi) of `out` whose input coordinate
+/// o * stride - pad + tap lands inside [0, extent); empty when none do.
+std::pair<i64, i64> live_outputs(const ConvShape& s, i64 tap, i64 extent,
+                                 i64 out) {
+  const i64 off = s.pad - tap;
+  const i64 lo = off > 0 ? ceil_div(off, s.stride) : 0;
+  const i64 hi = std::min(
+      out, extent - 1 + off >= 0 ? (extent - 1 + off) / s.stride + 1 : 0);
+  return {lo, std::max(lo, hi)};
+}
+
+/// Im2col row `kr` (all N = batch * oh * ow columns) into `row`, padding
+/// taps 0: one contiguous input run per output row, the row cleared first
+/// only when some of its taps are padding.
+void im2col_row(const ConvShape& s, const Tensor<i8>& input, i64 kr,
+                i8* row) {
+  const i64 oh = s.out_h(), ow = s.out_w();
+  const i64 hw = s.in_h * s.in_w;
+  const i64 c = kr / (s.kernel * s.kernel);
+  const i64 ky = kr / s.kernel % s.kernel, kx = kr % s.kernel;
+  const auto [oy_lo, oy_hi] = live_outputs(s, ky, s.in_h, oh);
+  const auto [ox_lo, ox_hi] = live_outputs(s, kx, s.in_w, ow);
+  if (oy_lo > 0 || oy_hi < oh || ox_lo > 0 || ox_hi < ow)
+    std::memset(row, 0, static_cast<size_t>(s.gemm_n()));
+  const i64 count = ox_hi - ox_lo;
+  if (count == 0) return;
+  for (i64 img = 0; img < s.batch; ++img)
+    for (i64 oy = oy_lo; oy < oy_hi; ++oy) {
+      const i8* src = input.data() + (img * s.in_c + c) * hw +
+                      (oy * s.stride - s.pad + ky) * s.in_w +
+                      ox_lo * s.stride - s.pad + kx;
+      i8* out = row + (img * oh + oy) * ow + ox_lo;
+      if (s.stride == 1) {
+        std::memcpy(out, src, static_cast<size_t>(count));
+      } else {
+        for (i64 j = 0; j < count; ++j) out[j] = src[j * s.stride];
+      }
+    }
+}
 
 /// 2-bit fused im2col pack into the pair panels, one pair row (depths 2t,
 /// 2t+1) at a time: each depth adds its pair digit to an N-long index row
@@ -240,19 +362,15 @@ void pack_pairs_from_conv(const ConvShape& s, const Tensor<i8>& input,
     for (i64 kr = 2 * t; kr < std::min(k, 2 * t + 2); ++kr) {
       const i64 c = kr / (s.kernel * s.kernel);
       const i64 ky = kr / s.kernel % s.kernel, kx = kr % s.kernel;
-      // Output columns whose tap ox*stride - pad + kx lands in the row.
-      const i64 x0 = s.pad - kx;
-      const i64 ox_lo = x0 > 0 ? ceil_div(x0, s.stride) : 0;
-      const i64 ox_hi = std::min(
-          ow, s.in_w - 1 + x0 >= 0 ? (s.in_w - 1 + x0) / s.stride + 1 : 0);
-      if (ox_lo >= ox_hi) continue;
+      const auto [ox_lo, ox_hi] = live_outputs(s, kx, s.in_w, ow);
+      if (ox_lo == ox_hi) continue;
       for (i64 img = 0; img < s.batch; ++img) {
         for (i64 oy = 0; oy < oh; ++oy) {
           const i64 iy = oy * s.stride - s.pad + ky;
           if (iy < 0 || iy >= s.in_h) continue;
           add_pair_digits(code.data() + (img * oh + oy) * ow + ox_lo,
                           input.data() + img * chw + c * hw + iy * s.in_w +
-                              ox_lo * s.stride - x0,
+                              ox_lo * s.stride - s.pad + kx,
                           ox_hi - ox_lo, s.stride, (kr & 1) == 0);
         }
       }
@@ -269,95 +387,80 @@ void pack_pairs_from_conv(const ConvShape& s, const Tensor<i8>& input,
   }
 }
 
+/// DOT fused im2col pack: the 4 im2col rows of each depth quad, then the
+/// quad interleave into the panels. A 1x1 stride-1 unpadded layer's im2col
+/// matrix is its input, image by image, so its rows are read in place.
+void pack_dot_from_conv(const ConvShape& s, const Tensor<i8>& input,
+                        i8* dst) {
+  const i64 k = s.gemm_k(), n = s.gemm_n();
+  clear_dot_tail_panel(k, n, dst);
+  if (s.kernel == 1 && s.stride == 1 && s.pad == 0) {
+    const i64 hw = s.in_h * s.in_w;
+    const std::vector<i8> zeros(
+        static_cast<size_t>(k % kDotDepthQuad ? hw : 0));
+    for (i64 img = 0; img < s.batch; ++img)
+      pack_dot_rows(input.data() + img * k * hw, hw, k, img * hw,
+                    (img + 1) * hw, zeros.data(), dst);
+    return;
+  }
+  const i64 kq = ceil_div(k, kDotDepthQuad);
+  std::vector<i8> buf(static_cast<size_t>(kDotDepthQuad * n));
+  for (i64 q = 0; q < kq; ++q) {
+    const i8* rows[kDotDepthQuad];
+    for (i64 d = 0; d < kDotDepthQuad; ++d) {
+      i8* row = buf.data() + d * n;
+      const i64 kr = q * kDotDepthQuad + d;
+      if (kr < k)
+        im2col_row(s, input, kr, row);
+      else
+        std::memset(row, 0, static_cast<size_t>(n));
+      rows[d] = row;
+    }
+    interleave_quad(rows, 0, n, kq, dst + q * kDotStepBytes);
+  }
+}
+
 }  // namespace
 
 void native_pack_b_from_conv(const ConvShape& s, const Tensor<i8>& input,
                              int bits, i8* dst) {
   if (native_lut_pairs(bits)) {
     pack_pairs_from_conv(s, input, reinterpret_cast<u8*>(dst));
-    return;
-  }
-  const i64 k = s.gemm_k();
-  const i64 n = s.gemm_n();
-  const i64 oh = s.out_h(), ow = s.out_w();
-  const bool lut = native_scheme_for(bits) == NativeScheme::kLut;
-  const i64 kp = lut ? k : dot_k_pad(k);
-  std::memset(dst, 0, static_cast<size_t>(lut ? k * n : n * kp));
-  const i8* in = input.data();
-  const i64 hw = s.in_h * s.in_w;
-  const i64 chw = s.in_c * hw;
-  for (i64 img = 0; img < s.batch; ++img) {
-    for (i64 oy = 0; oy < oh; ++oy) {
-      for (i64 ox = 0; ox < ow; ++ox) {
-        const i64 col = (img * oh + oy) * ow + ox;
-        for (i64 c = 0; c < s.in_c; ++c) {
-          for (i64 ky = 0; ky < s.kernel; ++ky) {
-            const i64 iy = oy * s.stride - s.pad + ky;
-            if (iy < 0 || iy >= s.in_h) continue;
-            for (i64 kx = 0; kx < s.kernel; ++kx) {
-              const i64 ix = ox * s.stride - s.pad + kx;
-              if (ix < 0 || ix >= s.in_w) continue;
-              const i64 kr = (c * s.kernel + ky) * s.kernel + kx;
-              const i8 v = in[img * chw + c * hw + iy * s.in_w + ix];
-              if (lut)
-                dst[kr * n + col] = v;
-              else
-                dst[col * kp + kr] = v;
-            }
-          }
-        }
-      }
-    }
+  } else if (native_scheme_for(bits) == NativeScheme::kDot) {
+    pack_dot_from_conv(s, input, dst);
+  } else {
+    for (i64 kr = 0; kr < s.gemm_k(); ++kr)
+      im2col_row(s, input, kr, dst + kr * s.gemm_n());
   }
 }
 
 // ---- scalar kernels ---------------------------------------------------
 
-namespace {
-
-/// 2-bit pair-class kernel over the panel layouts, in the AVX2 kernel's
-/// loop order; accumulates straight into i32 (no narrow lanes to flush).
-void scalar_lut_pairs(const NativePackedA& pa, const i8* pb, i32* c, i64 n,
-                      const NativeBlocking& blocking) {
-  const i64 k2 = pa.k_pad / 2;
-  const i64 panels = ceil_div(n, kLutPanelCols);
-  const i64 blocks = ceil_div(pa.m, kLutPairRows);
-  const i64 tile_blocks = ceil_div(std::max<i64>(blocking.rb, 1), kLutPairRows);
-  const i64 tile_panels = ceil_div(std::max<i64>(blocking.cb, 1), kLutPanelCols);
-  const i8* tables = native_pair_tables();
-  for (i64 p0 = 0; p0 < panels; p0 += tile_panels) {
-    for (i64 b0 = 0; b0 < blocks; b0 += tile_blocks) {
-      for (i64 p = p0; p < std::min(panels, p0 + tile_panels); ++p) {
-        const u8* panel =
-            reinterpret_cast<const u8*>(pb) + p * k2 * kLutPanelCols;
-        const i64 j0 = p * kLutPanelCols;
-        const i64 w = std::min(kLutPanelCols, n - j0);
-        for (i64 blk = b0; blk < std::min(blocks, b0 + tile_blocks); ++blk) {
+void native_gemm_scalar_lut(const NativePackedA& pa, const i8* b, i32* c,
+                            i64 n, const NativeBlocking& blocking) {
+  if (native_lut_pairs(pa.bits)) {
+    // 2-bit pair classes, one register block at a time; accumulates
+    // straight into i32 (no narrow lanes to flush).
+    const i64 k2 = pa.k_pad / 2;
+    const i8* tables = native_pair_tables();
+    for_each_register_block(
+        native_register_block(pa.bits), pa.m, n, blocking, c,
+        [&](i64 blk, i64 p, i64, i32* out, i64 ldo) {
           const u8* offs = pa.pair_block(blk);
-          const i64 rows = std::min(kLutPairRows, pa.m - blk * kLutPairRows);
-          for (i64 r = 0; r < rows; ++r) {
-            i32* crow = c + (blk * kLutPairRows + r) * n + j0;
-            for (i64 l = 0; l < w; ++l) crow[l] = 0;
+          const u8* panel =
+              reinterpret_cast<const u8*>(b) + p * k2 * kLutPanelCols;
+          for (i64 r = 0; r < kLutPairRows; ++r) {
+            i32* crow = out + r * ldo;
+            std::fill(crow, crow + kLutPanelCols, 0);
             for (i64 t = 0; t < k2; ++t) {
               const i8* tab = tables + offs[t * kLutPairRows + r];
               const u8* idx = panel + t * kLutPanelCols;
               // pshufb semantics: bit 7 zeroes the lane, else low nibble.
-              for (i64 l = 0; l < w; ++l)
+              for (i64 l = 0; l < kLutPanelCols; ++l)
                 crow[l] += (idx[l] & 0x80u) != 0 ? 0 : tab[idx[l] & 0x0Fu];
             }
           }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void native_gemm_scalar_lut(const NativePackedA& pa, const i8* b, i32* c,
-                            i64 n, const NativeBlocking& blocking) {
-  if (native_lut_pairs(pa.bits)) {
-    scalar_lut_pairs(pa, b, c, n, blocking);
+        });
     return;
   }
   const i64 m = pa.m, k = pa.k;
@@ -390,27 +493,73 @@ void native_gemm_scalar_lut(const NativePackedA& pa, const i8* b, i32* c,
   }
 }
 
+namespace {
+
+/// One kDotRows x kDotPanelCols block of C (row stride ldo) from a packed
+/// A row block and one B panel, both kq depth quads deep. With SSE2 (the
+/// x86-64 baseline) both operands widen to i16 and pmaddwd sums depth
+/// pairs into i32 lanes, exact for every i8 operand; the two lanes of each
+/// column fold once per block. Elsewhere a plain loop does the same sums.
+void dot_panel(const i8* a, const i8* b, i64 kq, i32* out, i64 ldo) {
+#if defined(__SSE2__)
+  static_assert(kDotRows == 2 && kDotStepBytes == 32,
+                "one 8-byte A load holds both rows' quads, two 16-byte B "
+                "loads one step");
+  const auto widen_lo = [](__m128i v) {
+    return _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
+  };
+  const auto widen_hi = [](__m128i v) {
+    return _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8);
+  };
+  // acc[r][h]: row r, columns 2h and 2h+1, depth pairs (0,1) and (2,3).
+  __m128i acc[kDotRows][4] = {};
+  for (i64 q = 0; q < kq; ++q) {
+    const __m128i aw = widen_lo(_mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(a + q * kDotRows * kDotDepthQuad)));
+    const __m128i ar[kDotRows] = {_mm_unpacklo_epi64(aw, aw),
+                                  _mm_unpackhi_epi64(aw, aw)};
+    const i8* bq = b + q * kDotStepBytes;
+    const __m128i b0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bq));
+    const __m128i b1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bq + 16));
+    const __m128i bw[4] = {widen_lo(b0), widen_hi(b0), widen_lo(b1),
+                           widen_hi(b1)};
+    for (i64 r = 0; r < kDotRows; ++r)
+      for (i64 h = 0; h < 4; ++h)
+        acc[r][h] = _mm_add_epi32(acc[r][h], _mm_madd_epi16(bw[h], ar[r]));
+  }
+  for (i64 r = 0; r < kDotRows; ++r) {
+    i32 lane[2 * kDotPanelCols];
+    std::memcpy(lane, acc[r], sizeof(lane));
+    for (i64 col = 0; col < kDotPanelCols; ++col)
+      out[r * ldo + col] = lane[2 * col] + lane[2 * col + 1];
+  }
+#else
+  for (i64 r = 0; r < kDotRows; ++r)
+    for (i64 col = 0; col < kDotPanelCols; ++col) {
+      i32 acc = 0;
+      for (i64 q = 0; q < kq; ++q)
+        for (i64 d = 0; d < kDotDepthQuad; ++d)
+          acc += a[(q * kDotRows + r) * kDotDepthQuad + d] *
+                 b[q * kDotStepBytes + col * kDotDepthQuad + d];
+      out[r * ldo + col] = acc;
+    }
+#endif
+}
+
+}  // namespace
+
 void native_gemm_scalar_dot(const NativePackedA& pa, const i8* pb, i32* c,
                             i64 n, const NativeBlocking& blocking) {
-  const i64 m = pa.m, kp = pa.k_pad;
-  const i64 rb = std::max<i64>(blocking.rb, 1);
-  const i64 cb = std::max<i64>(blocking.cb, 1);
-  for (i64 i0 = 0; i0 < m; i0 += rb) {
-    const i64 iend = std::min(m, i0 + rb);
-    for (i64 j0 = 0; j0 < n; j0 += cb) {
-      const i64 jend = std::min(n, j0 + cb);
-      for (i64 i = i0; i < iend; ++i) {
-        const i8* arow = pa.row(i);
-        for (i64 j = j0; j < jend; ++j) {
-          const i8* patch = pb + j * kp;
-          i32 acc = 0;
-          for (i64 kk = 0; kk < kp; ++kk)
-            acc += static_cast<i32>(arow[kk]) * static_cast<i32>(patch[kk]);
-          c[i * n + j] = acc;
-        }
-      }
-    }
-  }
+  const i64 kq = pa.k_pad / kDotDepthQuad;
+  const i64 panel_bytes = kq * kDotStepBytes;
+  for_each_register_block(
+      native_register_block(pa.bits), pa.m, n, blocking, c,
+      [&](i64 blk, i64 p, i64 np, i32* out, i64 ldo) {
+        for (i64 pp = 0; pp < np; ++pp)
+          dot_panel(pa.dot_block(blk), pb + (p + pp) * panel_bytes, kq,
+                    out + pp * kDotPanelCols, ldo);
+      });
 }
 
 // ---- driver -----------------------------------------------------------
@@ -519,14 +668,13 @@ NativeBlocking search_native_blocking(i64 m, i64 n, i64 k, int bits) {
   for (const i64 rb : {2LL, 8LL, 32LL})
     for (const i64 cb : {64LL, 256LL, 1024LL})
       cands.push_back(NativeBlocking{rb, cb});
-  for (NativeBlocking& b : cands) {
-    // The pair kernel tiles whole 8-row blocks and 32-column panels, so
-    // candidates that round to the same tiling are measured once.
-    if (native_lut_pairs(bits))
-      b = NativeBlocking{round_up(b.rb, kLutPairRows),
-                         round_up(b.cb, kLutPanelCols)};
-    b = clamp_blocking(b, m, probe_n);
-  }
+  // The panel kernels tile whole register blocks, so candidates that
+  // round to the same tiling are measured once.
+  const NativeRegisterBlock rbk = native_register_block(bits);
+  for (NativeBlocking& b : cands)
+    b = clamp_blocking(
+        NativeBlocking{round_up(b.rb, rbk.rows), round_up(b.cb, rbk.cols())},
+        m, probe_n);
   std::sort(cands.begin(), cands.end(),
             [](const NativeBlocking& a, const NativeBlocking& b) {
               return std::tie(a.rb, a.cb) < std::tie(b.rb, b.cb);

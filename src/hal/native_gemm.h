@@ -17,14 +17,20 @@
 //    - 3-4 bit index one product table row per weight value; products
 //      accumulate in i16 lanes and flush to i32 every kLutFlushInterval
 //      steps (256 * qmax^2 <= 32767).
-//  * DOT scheme (5-8 bit) — maddubs-style dp accumulation: the ggml sign
-//    trick (|a| as unsigned times sign(a)-adjusted b) keeps every
-//    `pmaddubsw` pair sum within int16, then `pmaddwd` folds to 32-bit —
-//    exact for operands in the adjusted range [-(2^(b-1)-1), 2^(b-1)-1].
+//  * DOT scheme (5-8 bit) — maddubs-style dp accumulation over depth
+//    quads: the ggml sign trick (|a| as unsigned times sign(a)-adjusted b)
+//    keeps every `pmaddubsw` pair sum within int16, then `pmaddwd` against
+//    ones folds each column's 4 depths to 32-bit — exact for operands in
+//    the adjusted range [-(2^(b-1)-1), 2^(b-1)-1]. A register block is
+//    kDotRows weight rows x kDotPanels 8-column panels: one B load per
+//    panel and one `vpbroadcastd` weight quad per row feed kDotRows *
+//    kDotPanels i32 accumulators, with no horizontal sum.
 //
 // Both schemes have a portable scalar fallback consuming the identical
 // packed layouts, selected automatically when AVX2 is absent or disabled
-// (LBC_HAL_DISABLE=avx2) — results are bit-exact across AVX2 / scalar /
+// (LBC_HAL_DISABLE=avx2); the DOT fallback runs a 2-row x 8-column block
+// per panel with SSE2 `pmaddwd` on i16-widened operands where the x86-64
+// baseline provides it — results are bit-exact across AVX2 / scalar /
 // the emulated ARM kernels / the reference GEMM, which the cross-backend
 // sweep in tests/test_hal_backend.cpp enforces. check::prove_native_scheme
 // proves the overflow argument of each scheme at plan time.
@@ -41,16 +47,23 @@
 //      columns hold the neutral index 5, which reads 0 in every table.
 //  * LUT 3-4 bit: A packs to row-major u8 table indices (value + qmax), B
 //    stays row-major K x N (the kernel vectorizes across 32 columns).
-//  * DOT:  A packs to row-major i8 with K zero-padded to 32, B packs to
-//          column-panel (N x K_pad) patches so each dot product streams
-//          two contiguous 32-byte runs.
+//  * DOT (depth quads, the x86 analogue of the ARM SDOT packing in
+//    armkern/pack.cpp):
+//    - A packs to kDotRows-row blocks of ceil(K/4) quads at one byte per
+//      weight: byte [(blk * K/4 + q) * kDotRows * 4 + r * 4 + d] is
+//      A[blk*kDotRows + r][4q + d]. M pads to kDotRows and K to a multiple
+//      of 4 with zeros. |a| is computed in-kernel, not stored.
+//    - B packs to 8-column panels of ceil(K/4) steps of 32 bytes: byte
+//      [c * 4 + d] of panel p's step q is B[4q + d][8p + c]. Depths past K
+//      and the N % 8 columns hold 0.
 //
 // Blocking: {row_block, col_block} loop tiles over M and N (the
-// gemm-config.h row/col-blocking idiom; see DESIGN.md §13); the 2-bit
-// kernel rounds them up to whole 8-row blocks and 32-column panels. The
-// winner per (GEMM view, scheme) comes from search_native_blocking —
-// candidates priced by *measured nanoseconds*, not modeled cycles — and
-// persists in TuningCache v5 under the "x86" backend key.
+// gemm-config.h row/col-blocking idiom; see DESIGN.md §13). The panel
+// kernels (2-bit LUT, DOT) round them up to whole register blocks
+// (native_register_block). The winner per (GEMM view, scheme) comes from
+// search_native_blocking — candidates priced by *measured nanoseconds*,
+// not modeled cycles — and persists in TuningCache v5 under the "x86"
+// backend key.
 #pragma once
 
 #include "common/align.h"
@@ -77,8 +90,10 @@ NativeScheme native_scheme_for(int bits);
 constexpr bool native_lut_pairs(int bits) { return bits == 2; }
 
 /// Stable id of the kernel + layout pair for the persistent tuning cache
-/// ("x86" rows): 0 = LUT 3-4 bit, 1 = DOT, 2 = LUT 2-bit pair classes. A
-/// blocking measured on one kernel is never replayed onto another.
+/// ("x86" rows): 0 = LUT 3-4 bit, 2 = LUT 2-bit pair classes, 3 = DOT on
+/// depth-quad panels. Id 1 (the retired DOT patch layout) is no longer
+/// issued. A blocking measured on one kernel is never replayed onto
+/// another.
 int native_scheme_id(int bits);
 
 /// LUT-scheme 16-bit flush cadence (3-4 bit): i16 lanes absorb this many
@@ -97,6 +112,30 @@ constexpr i64 kLutPairFlushInterval = tbl_flush_interval(2, true);
 /// and activation columns per panel (one 256-bit register of indices).
 constexpr i64 kLutPairRows = 8;
 constexpr i64 kLutPanelCols = 32;
+
+/// DOT register block: weight rows per block (one broadcast quad each),
+/// activation columns per panel (the 8 i32 lanes of one accumulator),
+/// panels per block, and the depths one maddubs + madd pair reduces.
+constexpr i64 kDotRows = 2;
+constexpr i64 kDotPanelCols = 8;
+constexpr i64 kDotPanels = 4;
+constexpr i64 kDotDepthQuad = 4;
+
+/// Register-block shape of a native kernel: `rows` weight rows by up to
+/// `panels` activation panels of `panel_cols` columns. {rb, cb} tilings
+/// round up to whole blocks of it. The 3-4 bit LUT kernel is not a panel
+/// kernel; its shape is 1 x 1 (no rounding).
+struct NativeRegisterBlock {
+  i64 rows = 1;
+  i64 panel_cols = 1;
+  i64 panels = 1;
+
+  i64 cols() const { return panel_cols * panels; }
+};
+
+/// 2 bit: kLutPairRows x one kLutPanelCols panel; DOT: kDotRows x
+/// kDotPanels panels of kDotPanelCols; 3-4 bit LUT: 1 x 1.
+NativeRegisterBlock native_register_block(int bits);
 
 /// Table id of a 2-bit weight pair (w0, w1) in {-1,0,1}^2: (w0+1)*3 +
 /// (w1+1) in [0, 9). Id 4, the (0, 0) pair, is the all-zero pad table.
@@ -131,17 +170,24 @@ struct NativePackedA {
   int bits = 8;
   NativeScheme scheme = NativeScheme::kDot;
   i64 m = 0, k = 0;
-  /// k rounded up to 32 (kDot) or to even (2-bit kLut); == k for 3-4 bit.
+  /// k rounded up to a multiple of 4 (kDot) or to even (2-bit kLut); == k
+  /// for 3-4 bit.
   i64 k_pad = 0;
-  /// kDot: row-major i8, m rows of k_pad (zero-padded) values.
+  /// kDot: depth quads in kDotRows-row blocks, m padded to a whole block,
+  /// one byte per weight (layout in the file header).
   /// kLut 3-4 bit: row-major u8 table indices (weight value + qmax), m x k.
   /// kLut 2 bit: pair table offsets in 8-row blocks, m padded to a whole
   /// block (layout in the file header).
   AlignedVector<i8> data;
 
   i64 bytes() const { return static_cast<i64>(data.size()); }
-  /// Row i of the row-major layouts (kDot, 3-4 bit kLut).
+  /// Row i of the 3-4 bit kLut row-major layout.
   const i8* row(i64 i) const { return data.data() + i * k_pad; }
+  /// kDotRows-row block `blk` of the kDot layout: k_pad/4 quads of
+  /// kDotRows * 4 weights.
+  const i8* dot_block(i64 blk) const {
+    return data.data() + blk * k_pad * kDotRows;
+  }
   /// 8-row block `blk` of the 2-bit layout: k_pad/2 steps of 8 table
   /// offsets.
   const u8* pair_block(i64 blk) const {
@@ -162,15 +208,14 @@ i64 native_packed_b_bytes(i64 k, i64 n, int bits);
 
 /// Pack a row-major K x N activation matrix into the scheme's B layout at
 /// `dst` (native_packed_b_bytes big). 2-bit kLut encodes 32-column pair
-/// panels; 3-4 bit kLut copies rows verbatim; kDot transposes to column
-/// panels with K zero-padded to 32. Every byte of the layout is written.
+/// panels; 3-4 bit kLut copies rows verbatim; kDot interleaves depth quads
+/// into 8-column panels. Every byte of the layout is written.
 void native_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst);
 
 /// Fused im2col pack: gather the conv input straight into the scheme's B
 /// layout (2-bit kLut: the pair panels; 3-4 bit kLut: the K x N im2col
-/// matrix; kDot: one K_pad patch per output pixel), padding taps reading
-/// as value 0. Byte-identical to materializing im2col and calling
-/// native_pack_b.
+/// matrix; kDot: the depth-quad panels), padding taps reading as value 0.
+/// Byte-identical to materializing im2col and calling native_pack_b.
 void native_pack_b_from_conv(const ConvShape& s, const Tensor<i8>& input,
                              int bits, i8* dst);
 

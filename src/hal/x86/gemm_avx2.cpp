@@ -12,6 +12,8 @@
 #include <cstring>
 #include <vector>
 
+#include "hal/panel_blocks.h"
+
 namespace lbc::hal {
 
 namespace {
@@ -20,14 +22,6 @@ namespace {
 // every 3-4 bit LUT width: 256 * qmax(4)^2 = 12544 < 32767, and the 2-bit
 // i8 cadence kLutPairFlushInterval * 2 = 126 <= 127 — both proved
 // symbolically per bit width by check::prove_all_schemes().
-
-i32 hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
 
 /// Widen the 32 i8 lanes of `acc` into 32 i32 lanes at `dst`: stored on
 /// the first flush of a block, added on every later one.
@@ -92,42 +86,84 @@ void lut_pairs_block(const u8* offs, const u8* panel, i64 k2,
   }
 }
 
-/// 2-bit pair-class GEMM: {rb, cb} tile the 8-row blocks and 32-column
-/// panels. Whole blocks accumulate straight into C; a block that overhangs
-/// m or n goes through a local tile and stores only its live part.
+/// 2-bit pair-class GEMM: one 8-row block x one 32-column panel per
+/// register block.
 void lut_pairs(const NativePackedA& pa, const i8* pb, i32* c, i64 n,
                const NativeBlocking& blocking) {
   const i64 k2 = pa.k_pad / 2;
-  const i64 panels = ceil_div(n, kLutPanelCols);
-  const i64 blocks = ceil_div(pa.m, kLutPairRows);
-  const i64 tile_blocks = ceil_div(std::max<i64>(blocking.rb, 1), kLutPairRows);
-  const i64 tile_panels = ceil_div(std::max<i64>(blocking.cb, 1), kLutPanelCols);
   const i8* tables = native_pair_tables();
-  alignas(32) i32 tile[kLutPairRows * kLutPanelCols];
-  for (i64 p0 = 0; p0 < panels; p0 += tile_panels) {
-    for (i64 b0 = 0; b0 < blocks; b0 += tile_blocks) {
-      for (i64 p = p0; p < std::min(panels, p0 + tile_panels); ++p) {
+  for_each_register_block(
+      native_register_block(pa.bits), pa.m, n, blocking, c,
+      [&](i64 blk, i64 p, i64, i32* out, i64 ldo) {
         const u8* panel =
             reinterpret_cast<const u8*>(pb) + p * k2 * kLutPanelCols;
-        const i64 j0 = p * kLutPanelCols;
-        const i64 w = std::min(kLutPanelCols, n - j0);
-        for (i64 blk = b0; blk < std::min(blocks, b0 + tile_blocks); ++blk) {
-          const i64 i0 = blk * kLutPairRows;
-          const i64 rows = std::min(kLutPairRows, pa.m - i0);
-          if (rows == kLutPairRows && w == kLutPanelCols) {
-            lut_pairs_block(pa.pair_block(blk), panel, k2, tables,
-                            c + i0 * n + j0, n);
-            continue;
-          }
-          lut_pairs_block(pa.pair_block(blk), panel, k2, tables, tile,
-                          kLutPanelCols);
-          for (i64 r = 0; r < rows; ++r)
-            std::memcpy(c + (i0 + r) * n + j0, tile + r * kLutPanelCols,
-                        static_cast<size_t>(w) * sizeof(i32));
-        }
-      }
-    }
+        lut_pairs_block(pa.pair_block(blk), panel, k2, tables, out, ldo);
+      });
+}
+
+/// One DOT register block over the full depth: kDotRows weight rows (`a`,
+/// kq quads of kDotRows * 4 bytes) against kNp 8-column panels (`b`, panel
+/// stride `panel_bytes`), kDotRows x kNp * 8 i32 results to `out` (row
+/// stride `ldo`). Per quad: one B load per panel, one weight broadcast and
+/// |a| per row, then per (row, panel) the sign trick — |a| as the unsigned
+/// maddubs operand, sign(a) folded into b — and pmaddwd against ones. Pair
+/// sums stay <= 2*127*127 < 2^15 because packing rejects -128 (adjusted
+/// range), so no i16 saturation. Each i32 lane is one column's 4-depth sum,
+/// so the accumulators store as they are.
+template <int kNp>
+void dot_block(const i8* a, const i8* b, i64 kq, i64 panel_bytes, i32* out,
+               i64 ldo) {
+  static_assert(kDotRows == 2 && kDotPanelCols == 8 && kDotDepthQuad == 4,
+                "two named accumulator rows of 8-lane panels");
+  static_assert(kNp >= 1 && kNp <= kDotPanels, "one to four panels");
+  constexpr i64 kStep = kDotPanelCols * kDotDepthQuad;
+  const __m256i ones = _mm256_set1_epi16(1);
+  const auto dp = [&ones](__m256i acc, __m256i ax, __m256i va, __m256i bv) {
+    return _mm256_add_epi32(
+        acc, _mm256_madd_epi16(
+                 _mm256_maddubs_epi16(ax, _mm256_sign_epi8(bv, va)), ones));
+  };
+  // Named accumulators (row r, panel p) so they stay in registers; the
+  // panels past kNp compile away.
+  __m256i c00 = _mm256_setzero_si256(), c01 = c00, c02 = c00, c03 = c00;
+  __m256i c10 = c00, c11 = c00, c12 = c00, c13 = c00;
+  for (i64 q = 0; q < kq; ++q) {
+    const i8* bq = b + q * kStep;
+    const auto load = [&](int p) {
+      return _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(bq + p * panel_bytes));
+    };
+    const __m256i b0 = load(0);
+    __m256i b1 = b0, b2 = b0, b3 = b0;
+    if constexpr (kNp > 1) b1 = load(1);
+    if constexpr (kNp > 2) b2 = load(2);
+    if constexpr (kNp > 3) b3 = load(3);
+    const i8* aq = a + q * kDotRows * kDotDepthQuad;
+    i32 w0, w1;
+    std::memcpy(&w0, aq, sizeof(w0));
+    std::memcpy(&w1, aq + kDotDepthQuad, sizeof(w1));
+    const __m256i va0 = _mm256_set1_epi32(w0);
+    const __m256i ax0 = _mm256_abs_epi8(va0);
+    c00 = dp(c00, ax0, va0, b0);
+    if constexpr (kNp > 1) c01 = dp(c01, ax0, va0, b1);
+    if constexpr (kNp > 2) c02 = dp(c02, ax0, va0, b2);
+    if constexpr (kNp > 3) c03 = dp(c03, ax0, va0, b3);
+    const __m256i va1 = _mm256_set1_epi32(w1);
+    const __m256i ax1 = _mm256_abs_epi8(va1);
+    c10 = dp(c10, ax1, va1, b0);
+    if constexpr (kNp > 1) c11 = dp(c11, ax1, va1, b1);
+    if constexpr (kNp > 2) c12 = dp(c12, ax1, va1, b2);
+    if constexpr (kNp > 3) c13 = dp(c13, ax1, va1, b3);
   }
+  const auto store = [&](i64 r, int p, __m256i v) {
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + r * ldo + p * kDotPanelCols), v);
+  };
+  store(0, 0, c00);
+  store(1, 0, c10);
+  if constexpr (kNp > 1) store(0, 1, c01), store(1, 1, c11);
+  if constexpr (kNp > 2) store(0, 2, c02), store(1, 2, c12);
+  if constexpr (kNp > 3) store(0, 3, c03), store(1, 3, c13);
 }
 
 }  // namespace
@@ -229,65 +265,21 @@ void native_gemm_avx2_lut(const NativePackedA& pa, const i8* b, i32* c,
 
 void native_gemm_avx2_dot(const NativePackedA& pa, const i8* pb, i32* c,
                           i64 n, const NativeBlocking& blocking) {
-  const i64 m = pa.m, kp = pa.k_pad;
-  const __m256i ones = _mm256_set1_epi16(1);
-  const i64 rb = std::max<i64>(blocking.rb, 1);
-  const i64 cb = std::max<i64>(blocking.cb, 1);
-  for (i64 i0 = 0; i0 < m; i0 += rb) {
-    const i64 iend = std::min(m, i0 + rb);
-    for (i64 j0 = 0; j0 < n; j0 += cb) {
-      const i64 jend = std::min(n, j0 + cb);
-      for (i64 i = i0; i < iend; ++i) {
-        const i8* arow = pa.row(i);
-        i32* crow = c + i * n;
-        i64 j = j0;
-        for (; j + 4 <= jend; j += 4) {
-          __m256i acc0 = _mm256_setzero_si256();
-          __m256i acc1 = _mm256_setzero_si256();
-          __m256i acc2 = _mm256_setzero_si256();
-          __m256i acc3 = _mm256_setzero_si256();
-          for (i64 kk = 0; kk < kp; kk += 32) {
-            const __m256i va = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(arow + kk));
-            // Sign trick: |a| as the unsigned maddubs operand, sign(a)
-            // folded into b. Pair sums stay <= 2*127*127 < 2^15 because
-            // packing rejects -128 (adjusted range), so no i16 saturation.
-            const __m256i ax = _mm256_sign_epi8(va, va);
-            const auto dot = [&](const i8* patch, __m256i acc) {
-              const __m256i vb = _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(patch + kk));
-              const __m256i p16 =
-                  _mm256_maddubs_epi16(ax, _mm256_sign_epi8(vb, va));
-              return _mm256_add_epi32(acc, _mm256_madd_epi16(p16, ones));
-            };
-            acc0 = dot(pb + (j + 0) * kp, acc0);
-            acc1 = dot(pb + (j + 1) * kp, acc1);
-            acc2 = dot(pb + (j + 2) * kp, acc2);
-            acc3 = dot(pb + (j + 3) * kp, acc3);
-          }
-          crow[j + 0] = hsum_epi32(acc0);
-          crow[j + 1] = hsum_epi32(acc1);
-          crow[j + 2] = hsum_epi32(acc2);
-          crow[j + 3] = hsum_epi32(acc3);
+  static_assert(kDotPanels == 4, "one dot_block instance per group width");
+  const i64 kq = pa.k_pad / kDotDepthQuad;
+  const i64 panel_bytes = kq * kDotPanelCols * kDotDepthQuad;
+  for_each_register_block(
+      native_register_block(pa.bits), pa.m, n, blocking, c,
+      [&](i64 blk, i64 p, i64 np, i32* out, i64 ldo) {
+        const i8* a = pa.dot_block(blk);
+        const i8* b = pb + p * panel_bytes;
+        switch (np) {
+          case 4: dot_block<4>(a, b, kq, panel_bytes, out, ldo); break;
+          case 3: dot_block<3>(a, b, kq, panel_bytes, out, ldo); break;
+          case 2: dot_block<2>(a, b, kq, panel_bytes, out, ldo); break;
+          default: dot_block<1>(a, b, kq, panel_bytes, out, ldo); break;
         }
-        for (; j < jend; ++j) {
-          __m256i acc = _mm256_setzero_si256();
-          const i8* patch = pb + j * kp;
-          for (i64 kk = 0; kk < kp; kk += 32) {
-            const __m256i va = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(arow + kk));
-            const __m256i ax = _mm256_sign_epi8(va, va);
-            const __m256i vb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(patch + kk));
-            const __m256i p16 =
-                _mm256_maddubs_epi16(ax, _mm256_sign_epi8(vb, va));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(p16, ones));
-          }
-          crow[j] = hsum_epi32(acc);
-        }
-      }
-    }
-  }
+      });
 }
 
 }  // namespace lbc::hal

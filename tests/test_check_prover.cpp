@@ -85,6 +85,17 @@ TEST(Prover, LutPadZeroObligationCheckedAgainstRealTable) {
   EXPECT_TRUE(has_proved(r, "lut.pad-zero-entry"));
 }
 
+TEST(Prover, DotProvesTheQuadKernel) {
+  // The DOT model reduces over the quad-padded depth (147 -> 148) and
+  // checks the pad bytes of the shipping packers, not a hard-coded fact.
+  const SchemeModel m = check::shipping_model(ProofScheme::kNativeDot, 8, 147);
+  EXPECT_EQ(m.depth, 148);
+  EXPECT_EQ(m.dot_pack_b, &hal::native_pack_b);
+  const ProofResult r = check::prove(m);
+  EXPECT_TRUE(r.proved()) << r.to_status().message();
+  EXPECT_TRUE(has_proved(r, "dot.zero-pad-neutral"));
+}
+
 TEST(Prover, Lut2ProvesThePairClassKernel) {
   // 2 bit proves what the pair-class kernel runs: the shared table
   // argument against the compiled i8 cadence, the pad entry on the real
@@ -248,6 +259,26 @@ TEST(ProverMutation, Lut2CorruptTableEntryFailsTableEntriesExact) {
   EXPECT_FALSE(r.proved());
   ASSERT_NE(r.first_failed(), nullptr);
   EXPECT_EQ(r.first_failed()->name, "lut.table-entries-exact");
+}
+
+void corrupted_dot_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst) {
+  hal::native_pack_b(b, k, n, bits, dst);
+  // The last byte of the layout: the last panel's last column at the last
+  // quad's last depth — a pad byte whenever N % 8 or K % 4 is nonzero, as
+  // in the prover's ragged probe.
+  dst[round_up(n, hal::kDotPanelCols) * round_up(k, hal::kDotDepthQuad) - 1] =
+      1;
+}
+
+TEST(ProverMutation, DotCorruptPadByteFailsZeroPadNeutral) {
+  SchemeModel m = check::shipping_model(ProofScheme::kNativeDot, 8, 576);
+  m.dot_pack_b = &corrupted_dot_pack_b;
+  const ProofResult r = check::prove(m);
+  EXPECT_FALSE(r.proved());
+  ASSERT_NE(r.first_failed(), nullptr);
+  EXPECT_EQ(r.first_failed()->name, "dot.zero-pad-neutral");
+  EXPECT_NE(r.first_failed()->statement.find("B pad byte"), std::string::npos)
+      << r.first_failed()->statement;
 }
 
 TEST(ProverMutation, AbsurdDepthFailsI32Headroom) {

@@ -206,14 +206,18 @@ TEST(NativeGemm, ProductLutMatchesArithmetic) {
 // Scalar and AVX2 kernels vs the reference GEMM on ragged shapes that
 // exercise row/col block tails and the K zero-padding — for the 2-bit pair
 // kernel: odd K, m not a multiple of the 8-row block, and n % 32 != 0
-// (n = 49 and 196 are the late ResNet-50 views).
+// (n = 49 and 196 are the late ResNet-50 views); for the DOT kernel: K % 4
+// != 0, odd m, a partial last 8-column panel, and a last group narrower
+// than 4 panels (n = 33 and 65 are 8 * 4 + 1 and 8 * 8 + 1). The
+// blockings include tiles that are not whole register blocks.
 TEST(NativeGemm, KernelsMatchReferenceAcrossBits) {
   struct Dims {
     i64 m, n, k;
   };
-  const Dims dims[] = {{1, 1, 1},     {3, 5, 7},      {16, 33, 31},
-                       {20, 49, 100}, {13, 196, 75},  {9, 49, 147},
-                       {27, 196, 128}};
+  const Dims dims[] = {{1, 1, 1},     {3, 5, 7},     {16, 33, 31},
+                       {20, 49, 100}, {13, 196, 75}, {9, 49, 147},
+                       {27, 196, 128}, {5, 33, 18},  {7, 65, 13},
+                       {11, 196, 45}};
   for (const Dims& d : dims) {
     for (int bits = 2; bits <= 8; ++bits) {
       const Tensor<i8> a =
@@ -232,7 +236,8 @@ TEST(NativeGemm, KernelsMatchReferenceAcrossBits) {
 
       for (const NativeBlocking blocking :
            {NativeBlocking{1, 1}, NativeBlocking{8, 256},
-            NativeBlocking{24, 40},
+            NativeBlocking{24, 40}, NativeBlocking{3, 12},
+            NativeBlocking{7, 100},
             default_native_blocking(d.m, d.n, d.k, bits)}) {
         std::vector<i32> got(c_elems);
         {
@@ -263,27 +268,41 @@ TEST(NativeGemm, KernelsMatchReferenceAcrossBits) {
 
 // Covers all three B layouts: the 2-bit pair panels (stem5x5 has odd K,
 // block3x3 and pointwise have N % 32 != 0), the 3-4 bit K x N matrix and
-// the DOT patches.
+// the DOT depth-quad panels (K % 4 != 0 in every sweep shape). The batch-2
+// 1x1 stride-1 shape takes the DOT pack's direct-row path, with an image
+// boundary (N = 25) inside a panel.
 TEST(NativeGemm, FusedConvPackMatchesMaterializedIm2col) {
-  for (const ConvShape& s : sweep_shapes()) {
-    for (const int bits : {2, 3, 8}) {
+  std::vector<ConvShape> shapes = sweep_shapes();
+  {
+    ConvShape s;
+    s.name = "pointwise-b2";
+    s.batch = 2;
+    s.in_c = 7, s.in_h = 5, s.in_w = 5;
+    s.out_c = 4;
+    s.kernel = 1, s.stride = 1, s.pad = 0;
+    shapes.push_back(s);
+  }
+  for (const ConvShape& s : shapes) {
+    for (const int bits : {2, 3, 6, 8}) {
       const Tensor<i8> in = random_qtensor(
           Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 300 + bits);
       const i64 k = s.gemm_k(), n = s.gemm_n();
-      // Materialize im2col, then pack it.
+      const i64 ohw = s.out_h() * s.out_w();
+      // Materialize im2col (columns image-major), then pack it.
       Tensor<i8> im2col(Shape4{1, 1, k, n});
       for (i64 kr = 0; kr < k; ++kr) {
         const i64 c = kr / (s.kernel * s.kernel);
         const i64 ky = (kr / s.kernel) % s.kernel;
         const i64 kx = kr % s.kernel;
         for (i64 col = 0; col < n; ++col) {
-          const i64 oy = col / s.out_w(), ox = col % s.out_w();
+          const i64 img = col / ohw;
+          const i64 oy = col % ohw / s.out_w(), ox = col % s.out_w();
           const i64 iy = oy * s.stride - s.pad + ky;
           const i64 ix = ox * s.stride - s.pad + kx;
           im2col.at(0, 0, kr, col) =
               (iy < 0 || iy >= s.in_h || ix < 0 || ix >= s.in_w)
                   ? i8{0}
-                  : in.at(0, c, iy, ix);
+                  : in.at(img, c, iy, ix);
         }
       }
       const size_t pb_bytes =
@@ -359,10 +378,11 @@ TEST(CrossBackend, NativeMatchesEmulatedAndReferenceAcrossBits) {
 }
 
 TEST(NativeConv, BatchedExecuteMatchesPerImage) {
-  // Batched execute folds images into GEMM N: at 2 bit an image's columns
-  // start mid-panel, so the pair panels straddle images.
+  // Batched execute folds images into GEMM N, 144 columns per image: at 2
+  // bit the second image starts mid-panel, at 8 bit mid 4-panel group, so
+  // the register blocks straddle images.
   ConvShape s = sweep_shapes()[0];
-  for (const int bits : {2, 4}) {
+  for (const int bits : {2, 4, 8}) {
     const Tensor<i8> w = random_qtensor(
         Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 600);
     const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);

@@ -372,7 +372,7 @@ TEST(TuningCacheV3, RejectsCorruptX86Lines) {
       "x86 64 3136 576 4 0 8\n",         // truncated
       "x86 64 3136 576 4 0 8 256 9\n",   // trailing field
       "x86 64 3136 576 4 5 8 256\n",     // scheme out of range
-      "x86 64 3136 576 4 3 8 256\n",     // first id past the 2-bit scheme
+      "x86 64 3136 576 4 4 8 256\n",     // first id past the DOT quad scheme
       "x86 64 3136 576 4 0 -8 256\n",    // negative row block
       "x86 64 3136 576 4 0 8 0\n",       // zero col block
       "x86 64 3136 576 4 0 8192 256\n",  // row block > 4096
@@ -523,6 +523,46 @@ TEST(TuningCacheV5, TwoBitNativeRowOfRetiredKernelIsResearched) {
   EXPECT_EQ(shipped.hits(), 1);
   EXPECT_EQ(shipped.misses(), 0);
   EXPECT_EQ(shipped.lookup_x86({24, 100, 144, 2, 2}), fresh);
+}
+
+TEST(TuningCacheV5, EightBitNativeRowOfRetiredDotKernelIsResearched) {
+  // 5-8 bit native GEMMs run the depth-quad DOT kernel (scheme id 3). A v5
+  // file holding an 8-bit row of the retired patch-layout kernel (scheme
+  // 1) still loads, but its blocking is never replayed: the plan misses,
+  // searches, and stores a scheme-3 row beside it.
+  ConvShape s;
+  s.name = "dot8-retired";
+  s.batch = 1;
+  s.in_c = 16;
+  s.in_h = 10;
+  s.in_w = 10;
+  s.out_c = 24;
+  s.kernel = 3;
+  s.stride = 1;
+  s.pad = 1;
+  const Tensor<i8> w =
+      random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 8, 17);
+
+  TuningCache c;
+  const StatusOr<int> n =
+      c.deserialize(with_header("x86 24 100 144 8 1 8 256\n"));
+  ASSERT_TRUE(n.ok()) << n.status().to_string();
+  ASSERT_EQ(n.value(), 1);
+
+  ASSERT_TRUE(core::plan_native_conv(s, w, 8, /*threads=*/1, &c).ok());
+  EXPECT_EQ(c.misses(), 1);
+  EXPECT_EQ(c.hits(), 0);
+  EXPECT_EQ(c.x86_size(), 2u);
+  const std::optional<X86Blocking> fresh = c.lookup_x86({24, 100, 144, 8, 3});
+  ASSERT_TRUE(fresh.has_value());
+
+  // The scheme-3 row round-trips and serves the re-plan without a search.
+  TuningCache shipped;
+  ASSERT_TRUE(shipped.deserialize(c.serialize()).ok());
+  ASSERT_TRUE(core::plan_native_conv(s, w, 8, /*threads=*/1, &shipped).ok());
+  EXPECT_EQ(shipped.hits(), 1);
+  EXPECT_EQ(shipped.misses(), 0);
+  EXPECT_EQ(shipped.lookup_x86({24, 100, 144, 8, 3}), fresh);
 }
 
 TEST(TuningCacheV5, TblRowsRoundTripWithoutResearch) {
